@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -29,8 +30,8 @@ Expected<double> parse_double(std::string_view text, double min_value, double ma
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE || value < min_value ||
-      value > max_value) {
+  if (end == token.c_str() || *end != '\0' || errno == ERANGE || std::isnan(value) ||
+      value < min_value || value > max_value) {
     std::ostringstream range;
     range << "invalid value '" << token << "' (expected number in [" << min_value << ", "
           << max_value << "])";

@@ -22,6 +22,20 @@ namespace aimes::common {
 /// ASCII lower-casing.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
+/// The enumerator in [E{0}, last] whose to_string() spelling is `text`: the
+/// inverse of a contiguous enum's to_string overload, so each spelling is
+/// written once. Leaves `out` alone and returns false on unknown text.
+template <class E>
+[[nodiscard]] bool parse_enum(std::string_view text, E last, E& out) {
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (std::string_view(to_string(static_cast<E>(i))) == text) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

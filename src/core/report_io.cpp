@@ -3,74 +3,68 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 #include <vector>
 
-#include "core/json_scan.hpp"
+#include "common/fields.hpp"
+#include "common/string_util.hpp"
 
 namespace aimes::core {
 
-
 std::string report_to_json(const ExecutionReport& report) {
-  std::ostringstream out;
   const auto& s = report.strategy;
   const auto& t = report.ttc;
   const auto& m = report.metrics;
-  out << "{\n";
-  out << "  \"success\": " << (report.success ? "true" : "false") << ",\n";
-  out << "  \"units_done\": " << report.units_done << ",\n";
-  out << "  \"units_failed\": " << report.units_failed << ",\n";
-  out << "  \"units_cancelled\": " << report.units_cancelled << ",\n";
-  out << "  \"strategy\": {\n";
-  out << "    \"binding\": \"" << to_string(s.binding) << "\",\n";
-  out << "    \"unit_scheduler\": \"" << pilot::to_string(s.unit_scheduler) << "\",\n";
-  out << "    \"n_pilots\": " << s.n_pilots << ",\n";
-  out << "    \"pilot_cores\": " << s.pilot_cores << ",\n";
-  out << "    \"pilot_walltime_s\": " << s.pilot_walltime.to_seconds() << ",\n";
-  out << "    \"sites\": [";
-  for (std::size_t i = 0; i < s.sites.size(); ++i) {
-    out << (i ? ", " : "") << "\"" << json::escape(s.sites[i].str()) << "\"";
-  }
-  out << "]\n  },\n";
-  out << "  \"ttc_s\": " << t.ttc.to_seconds() << ",\n";
-  out << "  \"tw_s\": " << t.tw.to_seconds() << ",\n";
-  out << "  \"tx_s\": " << t.tx.to_seconds() << ",\n";
-  out << "  \"ts_s\": " << t.ts.to_seconds() << ",\n";
-  out << "  \"pilot_waits_s\": [";
-  for (std::size_t i = 0; i < t.pilot_waits.size(); ++i) {
-    out << (i ? ", " : "") << t.pilot_waits[i].to_seconds();
-  }
-  out << "],\n";
-  out << "  \"restarted_units\": " << t.restarted_units << ",\n";
-  out << "  \"pilots_failed\": " << t.pilots_failed << ",\n";
-  out << "  \"pilots_resubmitted\": " << t.pilots_resubmitted << ",\n";
-  out << "  \"t_recovery_s\": " << t.recovery_time.to_seconds() << ",\n";
-  out << "  \"throughput_tasks_per_hour\": " << m.throughput_tasks_per_hour << ",\n";
-  out << "  \"pilot_core_hours\": " << m.pilot_core_hours << ",\n";
-  out << "  \"useful_core_hours\": " << m.useful_core_hours << ",\n";
-  out << "  \"pilot_efficiency\": " << m.pilot_efficiency << ",\n";
-  out << "  \"lost_core_hours\": " << m.lost_core_hours << ",\n";
-  out << "  \"goodput\": " << m.goodput << ",\n";
-  out << "  \"charge\": " << m.charge << ",\n";
-  out << "  \"energy_kwh\": " << m.energy_kwh << ",\n";
   const auto& f = report.faults;
-  out << "  \"faults\": {\n";
-  out << "    \"total\": " << f.total() << ",\n";
-  out << "    \"pilot_launch_failures\": " << f.pilot_launch_failures << ",\n";
-  out << "    \"pilot_kills\": " << f.pilot_kills << ",\n";
-  out << "    \"site_outages\": " << f.site_outages << ",\n";
-  out << "    \"transfer_failures\": " << f.transfer_failures << "\n";
-  out << "  },\n";
   const auto& r = report.recovery;
-  out << "  \"recovery\": {\n";
-  out << "    \"pilots_lost\": " << r.pilots_lost << ",\n";
-  out << "    \"pilots_resubmitted\": " << r.pilots_resubmitted << ",\n";
-  out << "    \"recoveries_abandoned\": " << r.recoveries_abandoned << ",\n";
-  out << "    \"recoveries_completed\": " << r.recoveries_completed << ",\n";
-  out << "    \"mean_recovery_latency_s\": " << r.mean_recovery_latency().to_seconds() << "\n";
-  out << "  }\n";
-  out << "}\n";
-  return out.str();
+  // A JSON array of `items`, each rendered by `item`.
+  const auto list = [](const auto& items, const auto& item) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < items.size(); ++i) out += (i ? ", " : "") + item(items[i]);
+    return out + "]";
+  };
+  common::json::Writer out(/*pretty=*/true);
+  out("success", report.success);
+  out("units_done", report.units_done);
+  out("units_failed", report.units_failed);
+  out("units_cancelled", report.units_cancelled);
+  out("strategy.binding", to_string(s.binding));
+  out("strategy.unit_scheduler", pilot::to_string(s.unit_scheduler));
+  out("strategy.n_pilots", s.n_pilots);
+  out("strategy.pilot_cores", s.pilot_cores);
+  out("strategy.pilot_walltime_s", s.pilot_walltime.to_seconds());
+  out.raw("strategy.sites", list(s.sites, [](const common::SiteId& site) {
+            return '"' + common::json::escape(site.str()) + '"';
+          }));
+  out("ttc_s", t.ttc.to_seconds());
+  out("tw_s", t.tw.to_seconds());
+  out("tx_s", t.tx.to_seconds());
+  out("ts_s", t.ts.to_seconds());
+  out.raw("pilot_waits_s", list(t.pilot_waits, [](const common::SimDuration& w) {
+            return common::json::number(w.to_seconds());
+          }));
+  out("restarted_units", t.restarted_units);
+  out("pilots_failed", t.pilots_failed);
+  out("pilots_resubmitted", t.pilots_resubmitted);
+  out("t_recovery_s", t.recovery_time.to_seconds());
+  out("throughput_tasks_per_hour", m.throughput_tasks_per_hour);
+  out("pilot_core_hours", m.pilot_core_hours);
+  out("useful_core_hours", m.useful_core_hours);
+  out("pilot_efficiency", m.pilot_efficiency);
+  out("lost_core_hours", m.lost_core_hours);
+  out("goodput", m.goodput);
+  out("charge", m.charge);
+  out("energy_kwh", m.energy_kwh);
+  out("faults.total", f.total());
+  out("faults.pilot_launch_failures", f.pilot_launch_failures);
+  out("faults.pilot_kills", f.pilot_kills);
+  out("faults.site_outages", f.site_outages);
+  out("faults.transfer_failures", f.transfer_failures);
+  out("recovery.pilots_lost", r.pilots_lost);
+  out("recovery.pilots_resubmitted", r.pilots_resubmitted);
+  out("recovery.recoveries_abandoned", r.recoveries_abandoned);
+  out("recovery.recoveries_completed", r.recoveries_completed);
+  out("recovery.mean_recovery_latency_s", r.mean_recovery_latency().to_seconds());
+  return out.finish() + "\n";
 }
 
 common::Status save_report_json(const ExecutionReport& report, const std::string& path) {
@@ -87,114 +81,89 @@ common::Expected<ExecutionReport> load_report_json(const std::string& path) {
   if (!f) return E::error(path + ": cannot open");
   std::stringstream buffer;
   buffer << f.rdbuf();
-  const std::string text = buffer.str();
-  const json::FieldScanner top(path, text);
+  auto doc = common::json::Node::parse(path, buffer.str());
+  if (!doc) return E::error(doc.error());
+
+  // Every field is required and no other is accepted. Enums, durations and
+  // site ids load into locals and convert below; "faults.total" is derived
+  // on write, so it is only checked.
   ExecutionReport r;
+  std::string binding;
+  std::string scheduler;
+  std::vector<std::string> sites;
+  std::vector<double> waits;
+  double walltime_s = 0.0, ttc_s = 0.0, tw_s = 0.0, tx_s = 0.0, ts_s = 0.0;
+  double recovery_s = 0.0, latency_s = 0.0;
+  std::uint64_t faults_total = 0;
+  common::json::Reader in(*doc, /*require_all=*/true);
+  in("success", r.success);
+  in("units_done", r.units_done);
+  in("units_failed", r.units_failed);
+  in("units_cancelled", r.units_cancelled);
+  in("strategy.binding", binding);
+  in("strategy.unit_scheduler", scheduler);
+  in("strategy.n_pilots", r.strategy.n_pilots);
+  in("strategy.pilot_cores", r.strategy.pilot_cores);
+  in("strategy.pilot_walltime_s", walltime_s);
+  in("strategy.sites", sites);
+  in("ttc_s", ttc_s);
+  in("tw_s", tw_s);
+  in("tx_s", tx_s);
+  in("ts_s", ts_s);
+  in("pilot_waits_s", waits);
+  in("restarted_units", r.ttc.restarted_units);
+  in("pilots_failed", r.ttc.pilots_failed);
+  in("pilots_resubmitted", r.ttc.pilots_resubmitted);
+  in("t_recovery_s", recovery_s);
+  in("throughput_tasks_per_hour", r.metrics.throughput_tasks_per_hour);
+  in("pilot_core_hours", r.metrics.pilot_core_hours);
+  in("useful_core_hours", r.metrics.useful_core_hours);
+  in("pilot_efficiency", r.metrics.pilot_efficiency);
+  in("lost_core_hours", r.metrics.lost_core_hours);
+  in("goodput", r.metrics.goodput);
+  in("charge", r.metrics.charge);
+  in("energy_kwh", r.metrics.energy_kwh);
+  in("faults.total", faults_total);
+  in("faults.pilot_launch_failures", r.faults.pilot_launch_failures);
+  in("faults.pilot_kills", r.faults.pilot_kills);
+  in("faults.site_outages", r.faults.site_outages);
+  in("faults.transfer_failures", r.faults.transfer_failures);
+  in("recovery.pilots_lost", r.recovery.pilots_lost);
+  in("recovery.pilots_resubmitted", r.recovery.pilots_resubmitted);
+  in("recovery.recoveries_abandoned", r.recovery.recoveries_abandoned);
+  in("recovery.recoveries_completed", r.recovery.recoveries_completed);
+  in("recovery.mean_recovery_latency_s", latency_s);
+  if (auto st = in.finish(); !st.ok()) return E::error(st.error());
 
-// Each field loads or the whole parse fails with that field's error.
-#define AIMES_LOAD(target, parsed)                      \
-  {                                                     \
-    auto v = (parsed);                                  \
-    if (!v) return E::error(v.error());                 \
-    target = static_cast<decltype(target)>(*v);         \
+  const common::json::Node strategy = doc->get("strategy");
+  if (!common::parse_enum(binding, Binding::kLate, r.strategy.binding)) {
+    return E::error(strategy.get("binding").describe() + ": unknown value '" + binding + "'");
   }
-
-  AIMES_LOAD(r.success, top.boolean("success"));
-  AIMES_LOAD(r.units_done, top.number("units_done"));
-  AIMES_LOAD(r.units_failed, top.number("units_failed"));
-  AIMES_LOAD(r.units_cancelled, top.number("units_cancelled"));
-
-  auto strategy = top.object("strategy");
-  if (!strategy) return E::error(strategy.error());
-  {
-    std::string binding;
-    AIMES_LOAD(binding, strategy->text("binding"));
-    if (binding == "early") {
-      r.strategy.binding = Binding::kEarly;
-    } else if (binding == "late") {
-      r.strategy.binding = Binding::kLate;
-    } else {
-      return E::error(strategy->describe("binding") + ": unknown value '" + binding + "'");
-    }
-    std::string scheduler;
-    AIMES_LOAD(scheduler, strategy->text("unit_scheduler"));
-    if (scheduler == "direct") {
-      r.strategy.unit_scheduler = pilot::UnitSchedulerKind::kDirect;
-    } else if (scheduler == "round-robin") {
-      r.strategy.unit_scheduler = pilot::UnitSchedulerKind::kRoundRobin;
-    } else if (scheduler == "backfill") {
-      r.strategy.unit_scheduler = pilot::UnitSchedulerKind::kBackfill;
-    } else {
-      return E::error(strategy->describe("unit_scheduler") + ": unknown value '" +
-                      scheduler + "'");
-    }
-    AIMES_LOAD(r.strategy.n_pilots, strategy->number("n_pilots"));
-    AIMES_LOAD(r.strategy.pilot_cores, strategy->number("pilot_cores"));
-    double walltime_s = 0.0;
-    AIMES_LOAD(walltime_s, strategy->number("pilot_walltime_s"));
-    r.strategy.pilot_walltime = common::SimDuration::seconds(walltime_s);
-    auto sites = strategy->strings("sites");
-    if (!sites) return E::error(sites.error());
-    for (const std::string& site : *sites) {
-      const std::string prefix = std::string(common::SiteTag::prefix()) + ".";
-      char* end = nullptr;
-      const unsigned long long id =
-          site.starts_with(prefix)
-              ? std::strtoull(site.c_str() + prefix.size(), &end, 10)
-              : 0;
-      if (end == nullptr || *end != '\0' || id == 0) {
-        return E::error(strategy->describe("sites") + ": malformed site id '" + site + "'");
-      }
-      r.strategy.sites.emplace_back(id);
-    }
+  if (!common::parse_enum(scheduler, pilot::UnitSchedulerKind::kBackfill,
+                          r.strategy.unit_scheduler)) {
+    return E::error(strategy.get("unit_scheduler").describe() + ": unknown value '" +
+                    scheduler + "'");
   }
-
-  double seconds = 0.0;
-  AIMES_LOAD(seconds, top.number("ttc_s"));
-  r.ttc.ttc = common::SimDuration::seconds(seconds);
-  AIMES_LOAD(seconds, top.number("tw_s"));
-  r.ttc.tw = common::SimDuration::seconds(seconds);
-  AIMES_LOAD(seconds, top.number("tx_s"));
-  r.ttc.tx = common::SimDuration::seconds(seconds);
-  AIMES_LOAD(seconds, top.number("ts_s"));
-  r.ttc.ts = common::SimDuration::seconds(seconds);
-  auto waits = top.numbers("pilot_waits_s");
-  if (!waits) return E::error(waits.error());
-  for (double w : *waits) r.ttc.pilot_waits.push_back(common::SimDuration::seconds(w));
-  AIMES_LOAD(r.ttc.restarted_units, top.number("restarted_units"));
-  AIMES_LOAD(r.ttc.pilots_failed, top.number("pilots_failed"));
-  AIMES_LOAD(r.ttc.pilots_resubmitted, top.number("pilots_resubmitted"));
-  AIMES_LOAD(seconds, top.number("t_recovery_s"));
-  r.ttc.recovery_time = common::SimDuration::seconds(seconds);
-
-  AIMES_LOAD(r.metrics.throughput_tasks_per_hour, top.number("throughput_tasks_per_hour"));
-  AIMES_LOAD(r.metrics.pilot_core_hours, top.number("pilot_core_hours"));
-  AIMES_LOAD(r.metrics.useful_core_hours, top.number("useful_core_hours"));
-  AIMES_LOAD(r.metrics.pilot_efficiency, top.number("pilot_efficiency"));
-  AIMES_LOAD(r.metrics.lost_core_hours, top.number("lost_core_hours"));
-  AIMES_LOAD(r.metrics.goodput, top.number("goodput"));
-  AIMES_LOAD(r.metrics.charge, top.number("charge"));
-  AIMES_LOAD(r.metrics.energy_kwh, top.number("energy_kwh"));
-
-  auto faults = top.object("faults");
-  if (!faults) return E::error(faults.error());
-  AIMES_LOAD(r.faults.pilot_launch_failures, faults->number("pilot_launch_failures"));
-  AIMES_LOAD(r.faults.pilot_kills, faults->number("pilot_kills"));
-  AIMES_LOAD(r.faults.site_outages, faults->number("site_outages"));
-  AIMES_LOAD(r.faults.transfer_failures, faults->number("transfer_failures"));
-
-  auto recovery = top.object("recovery");
-  if (!recovery) return E::error(recovery.error());
-  AIMES_LOAD(r.recovery.pilots_lost, recovery->number("pilots_lost"));
-  AIMES_LOAD(r.recovery.pilots_resubmitted, recovery->number("pilots_resubmitted"));
-  AIMES_LOAD(r.recovery.recoveries_abandoned, recovery->number("recoveries_abandoned"));
-  AIMES_LOAD(r.recovery.recoveries_completed, recovery->number("recoveries_completed"));
-  AIMES_LOAD(seconds, recovery->number("mean_recovery_latency_s"));
+  r.strategy.pilot_walltime = common::SimDuration::seconds(walltime_s);
+  const std::string prefix = std::string(common::SiteTag::prefix()) + ".";
+  for (const std::string& site : sites) {
+    char* end = nullptr;
+    const unsigned long long id =
+        site.starts_with(prefix) ? std::strtoull(site.c_str() + prefix.size(), &end, 10) : 0;
+    if (end == nullptr || *end != '\0' || id == 0) {
+      return E::error(strategy.get("sites").describe() + ": malformed site id '" + site + "'");
+    }
+    r.strategy.sites.emplace_back(id);
+  }
+  r.ttc.ttc = common::SimDuration::seconds(ttc_s);
+  r.ttc.tw = common::SimDuration::seconds(tw_s);
+  r.ttc.tx = common::SimDuration::seconds(tx_s);
+  r.ttc.ts = common::SimDuration::seconds(ts_s);
+  for (const double w : waits) r.ttc.pilot_waits.push_back(common::SimDuration::seconds(w));
+  r.ttc.recovery_time = common::SimDuration::seconds(recovery_s);
   // The file carries the mean; reconstruct the sum the struct stores.
   r.recovery.total_recovery_latency = common::SimDuration::seconds(
-      seconds * static_cast<double>(r.recovery.recoveries_completed));
-#undef AIMES_LOAD
-
+      latency_s * static_cast<double>(r.recovery.recoveries_completed));
   return r;
 }
 

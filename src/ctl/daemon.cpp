@@ -10,8 +10,8 @@
 #include <sstream>
 
 #include "cluster/testbed.hpp"
+#include "common/fields.hpp"
 #include "ctl/journal.hpp"
-#include "core/json_scan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 
@@ -22,7 +22,7 @@ namespace {
 net::HttpResponse json_error(int status, const std::string& message) {
   net::HttpResponse res;
   res.status = status;
-  res.body = "{\"error\": \"" + core::json::escape(message) + "\"}\n";
+  res.body = "{\"error\": \"" + common::json::escape(message) + "\"}\n";
   return res;
 }
 
@@ -59,47 +59,40 @@ bool parse_offset(const std::string& text, std::uint64_t& out) {
 }  // namespace
 
 std::string run_record_to_json(const RunRecord& record) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"id\": " << record.id << ",\n";
-  out << "  \"user\": \"" << core::json::escape(record.user) << "\",\n";
-  out << "  \"name\": \"" << core::json::escape(record.name) << "\",\n";
-  out << "  \"state\": \"" << to_string(record.state) << "\",\n";
-  out << "  \"cancel_reason\": \"" << to_string(record.cancel_reason) << "\",\n";
-  out << "  \"fail_reason\": \"" << to_string(record.fail_reason) << "\",\n";
-  out << "  \"kind\": \"" << (record.request.is_campaign() ? "campaign" : "single")
-      << "\",\n";
-  out << "  \"trials\": " << record.request.trials << ",\n";
-  out << "  \"seed\": " << record.request.seed << ",\n";
-  out << "  \"submitted_at\": " << record.submitted_at << ",\n";
-  out << "  \"started_at\": " << record.started_at << ",\n";
-  out << "  \"finished_at\": " << record.finished_at << ",\n";
-  out << "  \"log_lines\": " << record.log.size() << ",\n";
-  out << "  \"progress_events\": " << record.progress.size() << ",\n";
+  common::json::Writer out(/*pretty=*/true);
+  out("id", record.id);
+  out("user", record.user);
+  out("name", record.name);
+  out("state", to_string(record.state));
+  out("cancel_reason", to_string(record.cancel_reason));
+  out("fail_reason", to_string(record.fail_reason));
+  out("kind", record.request.is_campaign() ? "campaign" : "single");
+  out("trials", record.request.trials);
+  out("seed", record.request.seed);
+  out("submitted_at", record.submitted_at);
+  out("started_at", record.started_at);
+  out("finished_at", record.finished_at);
+  out("log_lines", record.log.size());
+  out("progress_events", record.progress.size());
   // The most recent snapshots only: a long campaign emits one per trial and
   // the full stream lives on /events and in the journal.
   constexpr std::size_t kMaxProgress = 32;
   const std::size_t skip =
       record.progress.size() > kMaxProgress ? record.progress.size() - kMaxProgress : 0;
-  out << "  \"progress\": [";
+  std::string progress = "[";
   for (std::size_t i = skip; i < record.progress.size(); ++i) {
-    if (i > skip) out << ",";
-    out << "\n    " << exp::run_progress_to_json(record.progress[i]);
+    progress += (i > skip ? ",\n    " : "\n    ") + exp::run_progress_to_json(record.progress[i]);
   }
-  out << (record.progress.size() > skip ? "\n  " : "") << "],\n";
-  std::string result = exp::run_result_to_json(record.result);
+  out.raw("progress", progress + (record.progress.size() > skip ? "\n  ]" : "]"));
   // Indent the nested object to keep the document readable in a terminal.
-  std::string indented;
-  for (const char c : result) {
-    indented += c;
-    if (c == '\n') indented += "  ";
+  std::string result;
+  for (const char c : exp::run_result_to_json(record.result)) {
+    result += c;
+    if (c == '\n') result += "  ";
   }
-  while (!indented.empty() && (indented.back() == ' ' || indented.back() == '\n')) {
-    indented.pop_back();
-  }
-  out << "  \"result\": " << indented << "\n";
-  out << "}\n";
-  return out.str();
+  while (!result.empty() && (result.back() == ' ' || result.back() == '\n')) result.pop_back();
+  out.raw("result", result);
+  return out.finish() + "\n";
 }
 
 Daemon::Daemon(DaemonOptions options)
@@ -179,16 +172,15 @@ net::HttpResponse Daemon::submit(const net::HttpRequest& request) {
     }
     net::HttpResponse res;
     res.status = status;
-    std::ostringstream body;
-    body << "{\"error\": \"" << core::json::escape(outcome.error) << "\", \"reason\": \""
-         << to_string(outcome.reject) << "\"";
+    common::json::Writer body(/*pretty=*/false);
+    body("error", outcome.error);
+    body("reason", to_string(outcome.reject));
     if (status != 400) {
       res.headers["Retry-After"] =
           std::to_string(std::max(1, static_cast<int>(std::ceil(outcome.retry_after_s))));
-      body << ", \"retry_after_s\": " << outcome.retry_after_s;
+      body("retry_after_s", outcome.retry_after_s);
     }
-    body << "}\n";
-    res.body = body.str();
+    res.body = body.finish() + "\n";
     return res;
   }
   net::HttpResponse res;
@@ -221,8 +213,8 @@ net::HttpResponse Daemon::list_runs(const net::HttpRequest& request) {
     // trial counts without one /runs/<id> round trip per row.
     const exp::RunProgress latest =
         r.progress.empty() ? exp::RunProgress{} : r.progress.back();
-    out << "  {\"id\": " << r.id << ", \"user\": \"" << core::json::escape(r.user)
-        << "\", \"name\": \"" << core::json::escape(r.name) << "\", \"state\": \""
+    out << "  {\"id\": " << r.id << ", \"user\": \"" << common::json::escape(r.user)
+        << "\", \"name\": \"" << common::json::escape(r.name) << "\", \"state\": \""
         << to_string(r.state) << "\", \"kind\": \""
         << (r.request.is_campaign() ? "campaign" : "single")
         << "\", \"trials_done\": " << latest.trials_done
@@ -324,9 +316,9 @@ net::HttpResponse Daemon::resource() {
   out << "{\"sites\": [\n";
   for (std::size_t i = 0; i < sites.size(); ++i) {
     const auto& s = sites[i].site;
-    out << "  {\"name\": \"" << core::json::escape(s.name) << "\", \"nodes\": " << s.nodes
+    out << "  {\"name\": \"" << common::json::escape(s.name) << "\", \"nodes\": " << s.nodes
         << ", \"cores_per_node\": " << s.cores_per_node << ", \"scheduler\": \""
-        << core::json::escape(s.scheduler) << "\", \"max_walltime_h\": "
+        << common::json::escape(s.scheduler) << "\", \"max_walltime_h\": "
         << s.max_walltime.to_hours() << ", \"charge_per_core_hour\": "
         << s.charge_per_core_hour << "}" << (i + 1 < sites.size() ? "," : "") << "\n";
   }

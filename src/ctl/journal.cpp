@@ -4,10 +4,10 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
-#include "core/json_scan.hpp"
+#include "common/fields.hpp"
+#include "common/string_util.hpp"
 
 namespace aimes::ctl {
 
@@ -27,50 +27,15 @@ std::string compact(const std::string& json) {
 }  // namespace
 
 bool parse_run_state(std::string_view text, RunState& out) {
-  if (text == "queued") {
-    out = RunState::kQueued;
-  } else if (text == "running") {
-    out = RunState::kRunning;
-  } else if (text == "done") {
-    out = RunState::kDone;
-  } else if (text == "failed") {
-    out = RunState::kFailed;
-  } else if (text == "cancelled") {
-    out = RunState::kCancelled;
-  } else {
-    return false;
-  }
-  return true;
+  return common::parse_enum(text, RunState::kCancelled, out);
 }
 
 bool parse_cancel_reason(std::string_view text, CancelReason& out) {
-  if (text == "none") {
-    out = CancelReason::kNone;
-  } else if (text == "user") {
-    out = CancelReason::kUser;
-  } else if (text == "shutdown") {
-    out = CancelReason::kShutdown;
-  } else if (text == "deadline") {
-    out = CancelReason::kDeadline;
-  } else {
-    return false;
-  }
-  return true;
+  return common::parse_enum(text, CancelReason::kDeadline, out);
 }
 
 bool parse_fail_reason(std::string_view text, FailReason& out) {
-  if (text == "none") {
-    out = FailReason::kNone;
-  } else if (text == "execution") {
-    out = FailReason::kExecution;
-  } else if (text == "daemon-restart") {
-    out = FailReason::kDaemonRestart;
-  } else if (text == "deadline") {
-    out = FailReason::kDeadline;
-  } else {
-    return false;
-  }
-  return true;
+  return common::parse_enum(text, FailReason::kDeadline, out);
 }
 
 Journal::~Journal() {
@@ -98,86 +63,86 @@ void Journal::append(const std::string& line) {
 
 void Journal::submit(const RunRecord& record) {
   if (file_ == nullptr) return;
-  std::ostringstream out;
-  out << "{\"event\": \"submit\", \"id\": " << record.id << ", \"at\": "
-      << record.submitted_at << ", \"user\": \"" << core::json::escape(record.user)
-      << "\", \"name\": \"" << core::json::escape(record.name) << "\"";
+  common::json::Writer out(/*pretty=*/false);
+  out("event", "submit");
+  out("id", record.id);
+  out("at", record.submitted_at);
+  out("user", record.user);
+  out("name", record.name);
   // The dedup token rides the journal so a restarted daemon still recognizes
   // a client's retried submit as the same run.
-  if (!record.idempotency_key.empty()) {
-    out << ", \"idempotency_key\": \"" << core::json::escape(record.idempotency_key) << "\"";
-  }
-  out << ", \"request\": " << compact(exp::run_request_to_json(record.request)) << "}";
-  append(out.str());
+  if (!record.idempotency_key.empty()) out("idempotency_key", record.idempotency_key);
+  out.raw("request", compact(exp::run_request_to_json(record.request)));
+  append(out.finish());
 }
 
 void Journal::start(const RunRecord& record) {
   if (file_ == nullptr) return;
-  append("{\"event\": \"start\", \"id\": " + std::to_string(record.id) +
-         ", \"at\": " + std::to_string(record.started_at) + "}");
+  common::json::Writer out(/*pretty=*/false);
+  out("event", "start");
+  out("id", record.id);
+  out("at", record.started_at);
+  append(out.finish());
 }
 
 void Journal::log_line(std::uint64_t id, const std::string& line) {
   if (file_ == nullptr) return;
-  append("{\"event\": \"log\", \"id\": " + std::to_string(id) + ", \"line\": \"" +
-         core::json::escape(line) + "\"}");
+  common::json::Writer out(/*pretty=*/false);
+  out("event", "log");
+  out("id", id);
+  out("line", line);
+  append(out.finish());
 }
 
 void Journal::progress(std::uint64_t id, const exp::RunProgress& progress) {
   if (file_ == nullptr) return;
-  append("{\"event\": \"progress\", \"id\": " + std::to_string(id) +
-         ", \"progress\": " + exp::run_progress_to_json(progress) + "}");
+  common::json::Writer out(/*pretty=*/false);
+  out("event", "progress");
+  out("id", id);
+  out.raw("progress", exp::run_progress_to_json(progress));
+  append(out.finish());
 }
 
 void Journal::finish(const RunRecord& record) {
   if (file_ == nullptr) return;
-  std::ostringstream out;
-  out << "{\"event\": \"finish\", \"id\": " << record.id << ", \"at\": "
-      << record.finished_at << ", \"state\": \"" << to_string(record.state)
-      << "\", \"cancel_reason\": \"" << to_string(record.cancel_reason)
-      << "\", \"fail_reason\": \"" << to_string(record.fail_reason)
-      << "\", \"result\": " << compact(exp::run_result_to_json(record.result)) << "}";
-  append(out.str());
+  common::json::Writer out(/*pretty=*/false);
+  out("event", "finish");
+  out("id", record.id);
+  out("at", record.finished_at);
+  out("state", to_string(record.state));
+  out("cancel_reason", to_string(record.cancel_reason));
+  out("fail_reason", to_string(record.fail_reason));
+  out.raw("result", compact(exp::run_result_to_json(record.result)));
+  append(out.finish());
 }
 
 namespace {
 
-/// Applies one journal line to the record table. Returns false when the line
-/// is malformed or references an unknown run (both are skipped by replay —
-/// the truncated-tail and schema-drift tolerance).
+/// Applies one journal line to the record table. Returns false, leaving the
+/// table untouched, when the line is malformed (bad JSON, an unknown or
+/// mistyped key, an unknown spelling) or references an unknown run; replay
+/// skips both (the truncated-tail and schema-drift tolerance).
 bool apply_line(const std::string& origin, const std::string& line,
                 std::map<std::uint64_t, RunRecord>& records) {
-  const core::json::FieldScanner scan(origin, line);
-  auto event = scan.text("event");
-  if (!event) return false;
-  auto id_value = scan.number("id");
-  if (!id_value || *id_value < 1) return false;
-  const auto id = static_cast<std::uint64_t>(*id_value);
+  auto doc = common::json::Node::parse(origin, line);
+  if (!doc) return false;
+  common::json::Reader in(*doc);
+  std::string event;
+  std::uint64_t id = 0;
+  in("event", event);
+  in("id", id);
+  if (id < 1) return false;
 
-  if (*event == "submit") {
-    auto raw = scan.raw_object("request");
-    if (!raw) return false;
-    auto request = exp::parse_run_request(origin, *raw);
-    if (!request) return false;
+  if (event == "submit") {
     RunRecord record;
     record.id = id;
-    if (scan.has("user")) {
-      auto user = scan.text("user");
-      if (!user) return false;
-      record.user = std::move(*user);
-    }
-    if (scan.has("name")) {
-      auto name = scan.text("name");
-      if (!name) return false;
-      record.name = std::move(*name);
-    }
-    if (scan.has("idempotency_key")) {
-      auto key = scan.text("idempotency_key");
-      if (!key) return false;
-      record.idempotency_key = std::move(*key);
-    }
-    if (auto at = scan.number("at")) record.submitted_at = static_cast<std::time_t>(*at);
-    record.request = std::move(*request);
+    in("at", record.submitted_at);
+    in("user", record.user);
+    in("name", record.name);
+    in("idempotency_key", record.idempotency_key);
+    in.object("request", record.request,
+              [](const common::json::Node& o) { return exp::parse_run_request(o); });
+    if (!doc->get("request").present() || !in.finish().ok()) return false;
     records[id] = std::move(record);
     return true;
   }
@@ -186,45 +151,53 @@ bool apply_line(const std::string& origin, const std::string& line,
   if (found == records.end()) return false;  // transition without a submit
   RunRecord& record = found->second;
 
-  if (*event == "start") {
+  if (event == "start") {
+    std::time_t at = record.started_at;
+    in("at", at);
+    if (!in.finish().ok()) return false;
     record.state = RunState::kRunning;
-    if (auto at = scan.number("at")) record.started_at = static_cast<std::time_t>(*at);
+    record.started_at = at;
     return true;
   }
-  if (*event == "log") {
-    auto text = scan.text("line");
-    if (!text) return false;
-    record.log.push_back(std::move(*text));
+  if (event == "log") {
+    std::string text;
+    in("line", text);
+    if (!doc->get("line").present() || !in.finish().ok()) return false;
+    record.log.push_back(std::move(text));
     return true;
   }
-  if (*event == "progress") {
-    auto raw = scan.raw_object("progress");
-    if (!raw) return false;
-    auto progress = exp::parse_run_progress(origin, *raw);
-    if (!progress) return false;
-    record.progress.push_back(*progress);
+  if (event == "progress") {
+    exp::RunProgress progress;
+    in.object("progress", progress,
+              [](const common::json::Node& o) { return exp::parse_run_progress(o); });
+    if (!doc->get("progress").present() || !in.finish().ok()) return false;
+    record.progress.push_back(progress);
     return true;
   }
-  if (*event == "finish") {
-    auto state_text = scan.text("state");
-    if (!state_text) return false;
+  if (event == "finish") {
+    std::time_t at = record.finished_at;
+    std::string state_text;
+    std::string cancel_text = "none";
+    std::string fail_text = "none";
+    exp::RunResult result;
+    in("at", at);
+    in("state", state_text);
+    in("cancel_reason", cancel_text);
+    in("fail_reason", fail_text);
+    in.object("result", result,
+              [](const common::json::Node& o) { return exp::parse_run_result(o); });
     RunState state = RunState::kQueued;
-    if (!parse_run_state(*state_text, state)) return false;
-    auto raw = scan.raw_object("result");
-    if (!raw) return false;
-    auto result = exp::parse_run_result(origin, *raw);
-    if (!result) return false;
+    CancelReason cancel = CancelReason::kNone;
+    FailReason fail = FailReason::kNone;
+    if (!doc->get("result").present() || !in.finish().ok() || !parse_run_state(state_text, state) ||
+        !parse_cancel_reason(cancel_text, cancel) || !parse_fail_reason(fail_text, fail)) {
+      return false;
+    }
     record.state = state;
-    record.result = std::move(*result);
-    if (auto at = scan.number("at")) record.finished_at = static_cast<std::time_t>(*at);
-    if (scan.has("cancel_reason")) {
-      auto reason = scan.text("cancel_reason");
-      if (reason) (void)parse_cancel_reason(*reason, record.cancel_reason);
-    }
-    if (scan.has("fail_reason")) {
-      auto reason = scan.text("fail_reason");
-      if (reason) (void)parse_fail_reason(*reason, record.fail_reason);
-    }
+    record.cancel_reason = cancel;
+    record.fail_reason = fail;
+    record.result = std::move(result);
+    record.finished_at = at;
     return true;
   }
   return false;  // unknown event kind

@@ -7,13 +7,14 @@
 // log, progress snapshots, result — and marks runs that were in flight when
 // the process died as failed with the typed daemon-restart reason.
 //
-// The format is append-only JSONL written through the typed core::json
-// layer: one self-describing object per line, whole RunRequest / RunResult /
+// The format is append-only JSONL written through common::json: one
+// self-describing object per line, whole RunRequest / RunResult /
 // RunProgress documents embedded as nested objects (newlines stripped — the
-// line *is* the framing). Replay is a pure function of the file: it
-// tolerates a truncated final line (the SIGKILL-mid-write case) by skipping
-// anything that does not parse, and replaying the same file twice yields
-// identical records.
+// line *is* the framing). Replay reads each line with the same strict reader
+// and field tables as the daemon's request parser, and is a pure function of
+// the file: it tolerates a truncated final line (the SIGKILL-mid-write case)
+// by skipping, and counting, any line that does not parse exactly, and
+// replaying the same file twice yields identical records.
 #pragma once
 
 #include <cstdint>

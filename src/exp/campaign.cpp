@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/string_util.hpp"
 #include "common/rng.hpp"
 #include "sim/replica_pool.hpp"
 #include "skeleton/application.hpp"
@@ -79,16 +80,7 @@ std::string_view to_string(CampaignMode mode) {
 }
 
 bool parse_campaign_mode(std::string_view text, CampaignMode& out) {
-  if (text == "shared") {
-    out = CampaignMode::kSharedPool;
-  } else if (text == "private") {
-    out = CampaignMode::kPrivatePilots;
-  } else if (text == "sequential") {
-    out = CampaignMode::kSequential;
-  } else {
-    return false;
-  }
-  return true;
+  return common::parse_enum(text, CampaignMode::kSequential, out);
 }
 
 int campaign_tenant_tasks(const CampaignSpec& spec, int tenant_index) {

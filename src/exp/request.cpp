@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "cluster/testbed_config.hpp"
 #include "common/cli.hpp"
 #include "common/config.hpp"
-#include "core/json_scan.hpp"
+#include "common/fields.hpp"
+#include "common/string_util.hpp"
 #include "sim/faults.hpp"
 #include "skeleton/profiles.hpp"
 #include "skeleton/spec.hpp"
@@ -36,18 +35,6 @@ bool known_selection(const std::string& s) { return s == "random" || s == "predi
 bool known_profile(const std::string& s) {
   return s == "bag-uniform" || s == "bag-gaussian" || s == "montage" || s == "blast" ||
          s == "cybershake" || s == "mapreduce";
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -84,8 +71,9 @@ common::Status parse_arrival_spec(const std::string& text, ArrivalSpec& out) {
 }
 
 std::string arrival_to_string(const ArrivalSpec& arrival) {
-  if (arrival.poisson_per_hour > 0.0) return "poisson:" + fmt(arrival.poisson_per_hour);
-  return "fixed:" + fmt(arrival.fixed_spacing.to_seconds());
+  using common::json::number;
+  if (arrival.poisson_per_hour > 0.0) return "poisson:" + number(arrival.poisson_per_hour);
+  return "fixed:" + number(arrival.fixed_spacing.to_seconds());
 }
 
 common::Status parse_quota(const std::string& text, core::TenantQuota& out) {
@@ -93,8 +81,13 @@ common::Status parse_quota(const std::string& text, core::TenantQuota& out) {
   double parts[3] = {0.0, 0.0, 0.0};
   for (int i = 0; i < 3 && !rest.empty(); ++i) {
     const auto colon = rest.find(':');
-    auto field = common::cli::parse_double(rest.substr(0, colon), 0.0, 1e12);
+    // Cores and units are counts that must fit an int; core-hours are real.
+    const double max = i < 2 ? std::numeric_limits<int>::max() : 1e12;
+    auto field = common::cli::parse_double(rest.substr(0, colon), 0.0, max);
     if (!field) return common::Status::error(field.error());
+    if (i < 2 && *field != std::floor(*field)) {
+      return common::Status::error("expected whole cores and units, got '" + text + "'");
+    }
     parts[i] = *field;
     if (colon == std::string::npos) break;
     rest = rest.substr(colon + 1);
@@ -107,20 +100,12 @@ common::Status parse_quota(const std::string& text, core::TenantQuota& out) {
 
 std::string quota_to_string(const core::TenantQuota& quota) {
   return std::to_string(quota.max_cores) + ":" + std::to_string(quota.max_concurrent_units) +
-         ":" + fmt(quota.max_core_hours);
+         ":" + common::json::number(quota.max_core_hours);
 }
 
 common::Status parse_slo_class(const std::string& text, core::SloClass& out) {
-  if (text == "interactive") {
-    out = core::SloClass::kInteractive;
-  } else if (text == "standard") {
-    out = core::SloClass::kStandard;
-  } else if (text == "batch") {
-    out = core::SloClass::kBatch;
-  } else {
-    return common::Status::error("expected interactive, standard, or batch");
-  }
-  return {};
+  if (common::parse_enum(text, core::SloClass::kBatch, out)) return {};
+  return common::Status::error("expected interactive, standard, or batch");
 }
 
 common::Status validate(const RunRequest& req) {
@@ -233,272 +218,158 @@ common::Status validate(const RunRequest& req) {
   return {};
 }
 
-std::string run_request_to_json(const RunRequest& req) {
-  std::ostringstream out;
-  const auto& s = req.strategy;
-  const auto& c = req.campaign;
-  const auto& a = req.admission;
-  const auto& o = req.observability;
-  out << "{\n";
-  out << "  \"name\": \"" << core::json::escape(req.name) << "\",\n";
-  out << "  \"user\": \"" << core::json::escape(req.user) << "\",\n";
-  out << "  \"profile\": \"" << core::json::escape(req.profile) << "\",\n";
-  out << "  \"skeleton_file\": \"" << core::json::escape(req.skeleton_file) << "\",\n";
-  out << "  \"testbed_file\": \"" << core::json::escape(req.testbed_file) << "\",\n";
-  out << "  \"tasks\": " << req.tasks << ",\n";
-  out << "  \"warmup_hours\": " << fmt(req.warmup_hours) << ",\n";
-  out << "  \"seed\": " << req.seed << ",\n";
-  out << "  \"trials\": " << req.trials << ",\n";
-  out << "  \"jobs\": " << req.jobs << ",\n";
-  out << "  \"deadline_s\": " << fmt(req.deadline_s) << ",\n";
-  out << "  \"strategy\": {\n";
-  out << "    \"experiment\": " << s.experiment << ",\n";
-  out << "    \"binding\": \"" << core::json::escape(s.binding) << "\",\n";
-  out << "    \"scheduler\": \"" << core::json::escape(s.scheduler) << "\",\n";
-  out << "    \"pilots\": " << s.pilots << ",\n";
-  out << "    \"selection\": \"" << core::json::escape(s.selection) << "\"\n";
-  out << "  },\n";
-  out << "  \"campaign\": {\n";
-  out << "    \"tenants\": " << c.tenants << ",\n";
-  out << "    \"arrival\": \"" << arrival_to_string(c.arrival) << "\",\n";
-  out << "    \"mode\": \"" << to_string(c.mode) << "\"\n";
-  out << "  },\n";
-  out << "  \"sharding\": {\n";
-  out << "    \"shards\": " << req.sharding.shards << ",\n";
-  out << "    \"grid_sites\": " << req.sharding.grid_sites << ",\n";
-  out << "    \"shard_workers\": " << req.sharding.shard_workers << "\n";
-  out << "  },\n";
-  out << "  \"faults\": {\n";
-  out << "    \"plan_file\": \"" << core::json::escape(req.faults.plan_file) << "\",\n";
-  out << "    \"pilot_failure_rate\": " << fmt(req.faults.pilot_failure_rate) << "\n";
-  out << "  },\n";
-  out << "  \"admission\": {\n";
-  out << "    \"enabled\": " << (a.enabled ? "true" : "false") << ",\n";
-  out << "    \"quota\": \"" << quota_to_string(a.quota) << "\",\n";
-  out << "    \"slo\": \"" << core::json::escape(a.slo) << "\",\n";
-  out << "    \"max_queue_wait_s\": " << fmt(a.max_queue_wait_s) << ",\n";
-  out << "    \"breaker\": " << (a.breaker ? "true" : "false") << ",\n";
-  out << "    \"breaker_threshold\": " << fmt(a.breaker_threshold) << ",\n";
-  out << "    \"breaker_min_events\": " << a.breaker_min_events << ",\n";
-  out << "    \"breaker_cooldown_s\": " << fmt(a.breaker_cooldown_s) << "\n";
-  out << "  },\n";
-  out << "  \"observability\": {\n";
-  out << "    \"enabled\": " << (o.enabled ? "true" : "false") << ",\n";
-  out << "    \"sample_interval_s\": " << fmt(o.sample_interval_s) << ",\n";
-  out << "    \"artifacts\": " << (o.artifacts ? "true" : "false") << "\n";
-  out << "  }\n";
-  out << "}\n";
-  return out.str();
-}
-
 namespace {
 
-/// Copies `key` out of `scan` into `dst` when present (absent keeps the
-/// default). The helpers keep parse_run_request to one line per field while
-/// every error still carries the scanner's origin/path/offset coordinates.
-common::Status take_text(const core::json::FieldScanner& scan, const std::string& key,
-                         std::string& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.text(key);
-  if (!v) return common::Status::error(v.error());
-  dst = std::move(*v);
-  return {};
+std::string mode_to_string(const CampaignMode& mode) { return std::string(to_string(mode)); }
+common::Status parse_mode(const std::string& text, CampaignMode& out) {
+  if (parse_campaign_mode(text, out)) return {};
+  return common::Status::error("expected shared, private, or sequential");
 }
 
-common::Status take_int(const core::json::FieldScanner& scan, const std::string& key,
-                        int& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.number(key);
-  if (!v) return common::Status::error(v.error());
-  dst = static_cast<int>(*v);
-  return {};
+std::string kind_to_string(const bool& is_campaign) {
+  return is_campaign ? "campaign" : "single";
 }
-
-common::Status take_double(const core::json::FieldScanner& scan, const std::string& key,
-                           double& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.number(key);
-  if (!v) return common::Status::error(v.error());
-  dst = *v;
-  return {};
-}
-
-common::Status take_bool(const core::json::FieldScanner& scan, const std::string& key,
-                         bool& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.boolean(key);
-  if (!v) return common::Status::error(v.error());
-  dst = *v;
-  return {};
-}
-
-common::Status take_u64(const core::json::FieldScanner& scan, const std::string& key,
-                        std::uint64_t& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.number(key);
-  if (!v) return common::Status::error(v.error());
-  if (*v < 0) return common::Status::error(scan.describe(key) + ": expected >= 0");
-  dst = static_cast<std::uint64_t>(*v);
-  return {};
-}
-
-/// Checksums travel as hex16 strings (JSON numbers lose uint64 precision
-/// past 2^53); this reads one back.
-common::Status take_hex64(const core::json::FieldScanner& scan, const std::string& key,
-                          std::uint64_t& dst) {
-  if (!scan.has(key)) return {};
-  auto v = scan.text(key);
-  if (!v) return common::Status::error(v.error());
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(v->c_str(), &end, 16);
-  if (end == v->c_str() || *end != '\0') {
-    return common::Status::error(scan.describe(key) + ": expected a hex checksum string");
+common::Status parse_kind(const std::string& text, bool& is_campaign) {
+  if (text != "campaign" && text != "single") {
+    return common::Status::error("expected single or campaign");
   }
-  dst = value;
+  is_campaign = text == "campaign";
   return {};
+}
+
+/// The RunRequest wire form, listed once: run_request_to_json writes these
+/// fields in this order and parse_run_request accepts exactly these.
+template <class R, class V>
+void request_fields(R& r, V& v) {
+  using common::json::spelled;
+  v("name", r.name);
+  v("user", r.user);
+  v("profile", r.profile);
+  v("skeleton_file", r.skeleton_file);
+  v("testbed_file", r.testbed_file);
+  v("tasks", r.tasks);
+  v("warmup_hours", r.warmup_hours);
+  v("seed", r.seed);
+  v("trials", r.trials);
+  v("jobs", r.jobs);
+  v("deadline_s", r.deadline_s);
+  v("strategy.experiment", r.strategy.experiment);
+  v("strategy.binding", r.strategy.binding);
+  v("strategy.scheduler", r.strategy.scheduler);
+  v("strategy.pilots", r.strategy.pilots);
+  v("strategy.selection", r.strategy.selection);
+  v("campaign.tenants", r.campaign.tenants);
+  v("campaign.arrival", spelled(r.campaign.arrival, arrival_to_string, parse_arrival_spec));
+  v("campaign.mode", spelled(r.campaign.mode, mode_to_string, parse_mode));
+  v("sharding.shards", r.sharding.shards);
+  v("sharding.grid_sites", r.sharding.grid_sites);
+  v("sharding.shard_workers", r.sharding.shard_workers);
+  v("faults.plan_file", r.faults.plan_file);
+  v("faults.pilot_failure_rate", r.faults.pilot_failure_rate);
+  v("admission.enabled", r.admission.enabled);
+  v("admission.quota", spelled(r.admission.quota, quota_to_string, parse_quota));
+  v("admission.slo", r.admission.slo);
+  v("admission.max_queue_wait_s", r.admission.max_queue_wait_s);
+  v("admission.breaker", r.admission.breaker);
+  v("admission.breaker_threshold", r.admission.breaker_threshold);
+  v("admission.breaker_min_events", r.admission.breaker_min_events);
+  v("admission.breaker_cooldown_s", r.admission.breaker_cooldown_s);
+  v("observability.enabled", r.observability.enabled);
+  v("observability.sample_interval_s", r.observability.sample_interval_s);
+  v("observability.artifacts", r.observability.artifacts);
+}
+
+/// The RunProgress wire form, listed once.
+template <class P, class V>
+void progress_fields(P& p, V& v) {
+  v("trials_done", p.trials_done);
+  v("trials_total", p.trials_total);
+  v("units_done", p.units_done);
+  v("units_failed", p.units_failed);
+  v("vt_s", p.vt_seconds);
+  v("checksum", common::json::hex(p.checksum));
+  v("tenants_admitted", p.tenants_admitted);
+  v("tenants_shed", p.tenants_shed);
+  v("pilots_resubmitted", p.pilots_resubmitted);
+  v("faults_injected", p.faults_injected);
+}
+
+/// The RunResult verdict fields, listed once. run_result_to_json follows
+/// them with "progress" and the per-cell summary (kSummaryKeys).
+template <class R, class V>
+void result_fields(R& r, V& v) {
+  using common::json::hex;
+  using common::json::spelled;
+  v("ok", r.ok);
+  v("success", r.success);
+  v("cancelled", r.cancelled);
+  v("error", r.error);
+  v("kind", spelled(r.is_campaign, kind_to_string, parse_kind));
+  v("trials_requested", r.trials_requested);
+  v("trials_completed", r.trials_completed);
+  v("checksum", hex(r.checksum));
+  v("wall_seconds", r.wall_seconds);
+  v("progress_events", r.progress_events);
+}
+
+/// The per-cell summary keys run_result_to_json writes (campaign and
+/// single-app). A Summary holds samples, not one mean, so parse_run_result
+/// accepts and type-checks these but does not restore them.
+constexpr std::string_view kSummaryKeys[] = {
+    "failures",     "makespan_mean_s", "makespan_stddev_s", "tenant_ttc_mean_s",
+    "tenants_admitted", "tenants_shed", "slo_violations",   "tasks",
+    "ttc_mean_s",   "ttc_stddev_s",    "tw_mean_s",         "tx_mean_s",
+    "ts_mean_s",    "events_executed"};
+
+/// Parses `text` as an object document and hands it to `parse`.
+template <class T>
+common::Expected<T> parse_text(const std::string& origin, const std::string& text,
+                               common::Expected<T> (*parse)(const common::json::Node&)) {
+  auto doc = common::json::Node::parse(origin, text);
+  if (!doc) return common::Expected<T>::error(doc.error());
+  return parse(*doc);
 }
 
 }  // namespace
 
-common::Expected<RunRequest> parse_run_request(const std::string& origin,
-                                               const std::string& text) {
+std::string run_request_to_json(const RunRequest& req) {
+  common::json::Writer out(/*pretty=*/true);
+  request_fields(req, out);
+  return out.finish() + "\n";
+}
+
+common::Expected<RunRequest> parse_run_request(const common::json::Node& doc) {
   using E = common::Expected<RunRequest>;
   RunRequest req;
-  // Every field is optional, so a scanner over a non-object document would
-  // "succeed" with all defaults. Require an actual JSON object up front so a
-  // garbage body is a typed 400, not a silently-defaulted run.
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) {
-    return E::error(origin + ": empty document, expected a JSON object");
-  }
-  if (text[first] != '{') {
-    return E::error(origin + ": expected a JSON object (byte " + std::to_string(first) +
-                    ")");
-  }
-  const core::json::FieldScanner top(origin, text);
-
-#define AIMES_TAKE(expr)                                  \
-  do {                                                    \
-    if (auto st = (expr); !st.ok()) return E::error(st.error()); \
-  } while (0)
-
-  AIMES_TAKE(take_text(top, "name", req.name));
-  AIMES_TAKE(take_text(top, "user", req.user));
-  AIMES_TAKE(take_text(top, "profile", req.profile));
-  AIMES_TAKE(take_text(top, "skeleton_file", req.skeleton_file));
-  AIMES_TAKE(take_text(top, "testbed_file", req.testbed_file));
-  AIMES_TAKE(take_int(top, "tasks", req.tasks));
-  AIMES_TAKE(take_double(top, "warmup_hours", req.warmup_hours));
-  AIMES_TAKE(take_u64(top, "seed", req.seed));
-  AIMES_TAKE(take_int(top, "trials", req.trials));
-  AIMES_TAKE(take_int(top, "jobs", req.jobs));
-  AIMES_TAKE(take_double(top, "deadline_s", req.deadline_s));
-
-  if (top.has("strategy")) {
-    auto scan = top.object("strategy");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_int(*scan, "experiment", req.strategy.experiment));
-    AIMES_TAKE(take_text(*scan, "binding", req.strategy.binding));
-    AIMES_TAKE(take_text(*scan, "scheduler", req.strategy.scheduler));
-    AIMES_TAKE(take_int(*scan, "pilots", req.strategy.pilots));
-    AIMES_TAKE(take_text(*scan, "selection", req.strategy.selection));
-  }
-  if (top.has("campaign")) {
-    auto scan = top.object("campaign");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_int(*scan, "tenants", req.campaign.tenants));
-    if (scan->has("arrival")) {
-      auto text_value = scan->text("arrival");
-      if (!text_value) return E::error(text_value.error());
-      if (auto st = parse_arrival_spec(*text_value, req.campaign.arrival); !st.ok()) {
-        return E::error(scan->describe("arrival") + ": " + st.error());
-      }
-    }
-    if (scan->has("mode")) {
-      auto text_value = scan->text("mode");
-      if (!text_value) return E::error(text_value.error());
-      if (!parse_campaign_mode(*text_value, req.campaign.mode)) {
-        return E::error(scan->describe("mode") + ": expected shared, private, or sequential");
-      }
-    }
-  }
-  if (top.has("sharding")) {
-    auto scan = top.object("sharding");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_int(*scan, "shards", req.sharding.shards));
-    AIMES_TAKE(take_int(*scan, "grid_sites", req.sharding.grid_sites));
-    AIMES_TAKE(take_int(*scan, "shard_workers", req.sharding.shard_workers));
-  }
-  if (top.has("faults")) {
-    auto scan = top.object("faults");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_text(*scan, "plan_file", req.faults.plan_file));
-    AIMES_TAKE(take_double(*scan, "pilot_failure_rate", req.faults.pilot_failure_rate));
-  }
-  if (top.has("admission")) {
-    auto scan = top.object("admission");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_bool(*scan, "enabled", req.admission.enabled));
-    if (scan->has("quota")) {
-      auto text_value = scan->text("quota");
-      if (!text_value) return E::error(text_value.error());
-      if (auto st = parse_quota(*text_value, req.admission.quota); !st.ok()) {
-        return E::error(scan->describe("quota") + ": " + st.error());
-      }
-    }
-    AIMES_TAKE(take_text(*scan, "slo", req.admission.slo));
-    AIMES_TAKE(take_double(*scan, "max_queue_wait_s", req.admission.max_queue_wait_s));
-    AIMES_TAKE(take_bool(*scan, "breaker", req.admission.breaker));
-    AIMES_TAKE(take_double(*scan, "breaker_threshold", req.admission.breaker_threshold));
-    AIMES_TAKE(take_int(*scan, "breaker_min_events", req.admission.breaker_min_events));
-    AIMES_TAKE(take_double(*scan, "breaker_cooldown_s", req.admission.breaker_cooldown_s));
-  }
-  if (top.has("observability")) {
-    auto scan = top.object("observability");
-    if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_bool(*scan, "enabled", req.observability.enabled));
-    AIMES_TAKE(take_double(*scan, "sample_interval_s", req.observability.sample_interval_s));
-    AIMES_TAKE(take_bool(*scan, "artifacts", req.observability.artifacts));
-  }
-#undef AIMES_TAKE
-
+  common::json::Reader in(doc);
+  request_fields(req, in);
+  if (auto st = in.finish(); !st.ok()) return E::error(st.error());
   if (auto st = validate(req); !st.ok()) return E::error(st.error());
   return req;
 }
 
-std::string run_progress_to_json(const RunProgress& p) {
-  std::ostringstream out;
-  out << "{\"trials_done\": " << p.trials_done << ", \"trials_total\": " << p.trials_total
-      << ", \"units_done\": " << p.units_done << ", \"units_failed\": " << p.units_failed
-      << ", \"vt_s\": " << fmt(p.vt_seconds) << ", \"checksum\": \"" << hex16(p.checksum)
-      << "\", \"tenants_admitted\": " << p.tenants_admitted
-      << ", \"tenants_shed\": " << p.tenants_shed
-      << ", \"pilots_resubmitted\": " << p.pilots_resubmitted
-      << ", \"faults_injected\": " << p.faults_injected << "}";
-  return out.str();
+common::Expected<RunRequest> parse_run_request(const std::string& origin,
+                                               const std::string& text) {
+  return parse_text<RunRequest>(origin, text, parse_run_request);
+}
+
+std::string run_progress_to_json(const RunProgress& progress) {
+  common::json::Writer out(/*pretty=*/false);
+  progress_fields(progress, out);
+  return out.finish();
+}
+
+common::Expected<RunProgress> parse_run_progress(const common::json::Node& doc) {
+  RunProgress progress;
+  common::json::Reader in(doc);
+  progress_fields(progress, in);
+  if (auto st = in.finish(); !st.ok()) return common::Expected<RunProgress>::error(st.error());
+  return progress;
 }
 
 common::Expected<RunProgress> parse_run_progress(const std::string& origin,
                                                  const std::string& text) {
-  using E = common::Expected<RunProgress>;
-  RunProgress p;
-  const core::json::FieldScanner scan(origin, text);
-#define AIMES_TAKE(expr)                                        \
-  do {                                                          \
-    if (auto st = (expr); !st.ok()) return E::error(st.error()); \
-  } while (0)
-  AIMES_TAKE(take_int(scan, "trials_done", p.trials_done));
-  AIMES_TAKE(take_int(scan, "trials_total", p.trials_total));
-  AIMES_TAKE(take_u64(scan, "units_done", p.units_done));
-  AIMES_TAKE(take_u64(scan, "units_failed", p.units_failed));
-  AIMES_TAKE(take_double(scan, "vt_s", p.vt_seconds));
-  AIMES_TAKE(take_hex64(scan, "checksum", p.checksum));
-  AIMES_TAKE(take_u64(scan, "tenants_admitted", p.tenants_admitted));
-  AIMES_TAKE(take_u64(scan, "tenants_shed", p.tenants_shed));
-  AIMES_TAKE(take_u64(scan, "pilots_resubmitted", p.pilots_resubmitted));
-  AIMES_TAKE(take_u64(scan, "faults_injected", p.faults_injected));
-#undef AIMES_TAKE
-  return p;
+  return parse_text<RunProgress>(origin, text, parse_run_progress);
 }
 
 common::Expected<ResolvedRun> resolve(const RunRequest& req) {
@@ -600,15 +471,13 @@ common::Expected<ResolvedRun> resolve(const RunRequest& req) {
         req.tasks, std::max(1, req.tasks / 8), common::DistributionSpec::constant(300),
         common::DistributionSpec::constant(120));
   }
-  run.app.planner.binding =
-      req.strategy.binding == "early" ? core::Binding::kEarly : core::Binding::kLate;
-  if (req.strategy.scheduler == "direct") {
-    run.app.planner.scheduler = pilot::UnitSchedulerKind::kDirect;
-  } else if (req.strategy.scheduler == "round-robin") {
-    run.app.planner.scheduler = pilot::UnitSchedulerKind::kRoundRobin;
-  } else if (req.strategy.scheduler == "backfill") {
-    run.app.planner.scheduler = pilot::UnitSchedulerKind::kBackfill;
-  }  // empty: leave unset, the planner derives it from the binding
+  // Spellings were checked by validate(); an empty scheduler stays unset
+  // and the planner derives it from the binding.
+  (void)common::parse_enum(req.strategy.binding, core::Binding::kLate, run.app.planner.binding);
+  pilot::UnitSchedulerKind scheduler{};
+  if (common::parse_enum(req.strategy.scheduler, pilot::UnitSchedulerKind::kBackfill, scheduler)) {
+    run.app.planner.scheduler = scheduler;
+  }
   run.app.planner.n_pilots = req.strategy.pilots;
   run.app.planner.selection = req.strategy.selection == "random"
                                   ? core::SiteSelection::kRandom
@@ -746,78 +615,47 @@ RunResult execute(const RunRequest& req, const RunHooks& hooks) {
 }
 
 std::string run_result_to_json(const RunResult& result) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"ok\": " << (result.ok ? "true" : "false") << ",\n";
-  out << "  \"success\": " << (result.success ? "true" : "false") << ",\n";
-  out << "  \"cancelled\": " << (result.cancelled ? "true" : "false") << ",\n";
-  out << "  \"error\": \"" << core::json::escape(result.error) << "\",\n";
-  out << "  \"kind\": \"" << (result.is_campaign ? "campaign" : "single") << "\",\n";
-  out << "  \"trials_requested\": " << result.trials_requested << ",\n";
-  out << "  \"trials_completed\": " << result.trials_completed << ",\n";
-  // Hex string: JSON numbers lose uint64 precision past 2^53.
-  out << "  \"checksum\": \"" << hex16(result.checksum) << "\",\n";
-  out << "  \"wall_seconds\": " << fmt(result.wall_seconds) << ",\n";
-  out << "  \"progress_events\": " << result.progress_events << ",\n";
-  out << "  \"progress\": " << run_progress_to_json(result.progress) << ",\n";
+  common::json::Writer out(/*pretty=*/true);
+  result_fields(result, out);
+  out.raw("progress", run_progress_to_json(result.progress));
   if (result.is_campaign) {
     const auto& c = result.campaign;
-    out << "  \"failures\": " << c.failures << ",\n";
-    out << "  \"makespan_mean_s\": " << fmt(c.makespan_s.mean()) << ",\n";
-    out << "  \"makespan_stddev_s\": " << fmt(c.makespan_s.stddev()) << ",\n";
-    out << "  \"tenant_ttc_mean_s\": " << fmt(c.tenant_ttc_s.mean()) << ",\n";
-    out << "  \"tenants_admitted\": " << c.tenants_admitted << ",\n";
-    out << "  \"tenants_shed\": " << c.tenants_shed << ",\n";
-    out << "  \"slo_violations\": " << c.slo_violations << "\n";
+    out("failures", c.failures);
+    out("makespan_mean_s", c.makespan_s.mean());
+    out("makespan_stddev_s", c.makespan_s.stddev());
+    out("tenant_ttc_mean_s", c.tenant_ttc_s.mean());
+    out("tenants_admitted", c.tenants_admitted);
+    out("tenants_shed", c.tenants_shed);
+    out("slo_violations", c.slo_violations);
   } else {
     const auto& c = result.cell;
-    out << "  \"failures\": " << c.failures << ",\n";
-    out << "  \"tasks\": " << c.tasks << ",\n";
-    out << "  \"ttc_mean_s\": " << fmt(c.ttc_s.mean()) << ",\n";
-    out << "  \"ttc_stddev_s\": " << fmt(c.ttc_s.stddev()) << ",\n";
-    out << "  \"tw_mean_s\": " << fmt(c.tw_s.mean()) << ",\n";
-    out << "  \"tx_mean_s\": " << fmt(c.tx_s.mean()) << ",\n";
-    out << "  \"ts_mean_s\": " << fmt(c.ts_s.mean()) << ",\n";
-    out << "  \"events_executed\": " << c.events_executed << "\n";
+    out("failures", c.failures);
+    out("tasks", c.tasks);
+    out("ttc_mean_s", c.ttc_s.mean());
+    out("ttc_stddev_s", c.ttc_s.stddev());
+    out("tw_mean_s", c.tw_s.mean());
+    out("tx_mean_s", c.tx_s.mean());
+    out("ts_mean_s", c.ts_s.mean());
+    out("events_executed", c.events_executed);
   }
-  out << "}\n";
-  return out.str();
+  return out.finish() + "\n";
+}
+
+common::Expected<RunResult> parse_run_result(const common::json::Node& doc) {
+  RunResult result;
+  common::json::Reader in(doc);
+  result_fields(result, in);
+  in.object("progress", result.progress,
+            [](const common::json::Node& o) { return parse_run_progress(o); });
+  double summary = 0.0;
+  for (const std::string_view key : kSummaryKeys) in(key, summary);
+  if (auto st = in.finish(); !st.ok()) return common::Expected<RunResult>::error(st.error());
+  return result;
 }
 
 common::Expected<RunResult> parse_run_result(const std::string& origin,
                                              const std::string& text) {
-  using E = common::Expected<RunResult>;
-  RunResult result;
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos || text[first] != '{') {
-    return E::error(origin + ": expected a JSON object");
-  }
-  const core::json::FieldScanner top(origin, text);
-#define AIMES_TAKE(expr)                                        \
-  do {                                                          \
-    if (auto st = (expr); !st.ok()) return E::error(st.error()); \
-  } while (0)
-  AIMES_TAKE(take_bool(top, "ok", result.ok));
-  AIMES_TAKE(take_bool(top, "success", result.success));
-  AIMES_TAKE(take_bool(top, "cancelled", result.cancelled));
-  AIMES_TAKE(take_text(top, "error", result.error));
-  std::string kind = "single";
-  AIMES_TAKE(take_text(top, "kind", kind));
-  result.is_campaign = kind == "campaign";
-  AIMES_TAKE(take_int(top, "trials_requested", result.trials_requested));
-  AIMES_TAKE(take_int(top, "trials_completed", result.trials_completed));
-  AIMES_TAKE(take_hex64(top, "checksum", result.checksum));
-  AIMES_TAKE(take_double(top, "wall_seconds", result.wall_seconds));
-  AIMES_TAKE(take_int(top, "progress_events", result.progress_events));
-#undef AIMES_TAKE
-  if (top.has("progress")) {
-    auto raw = top.raw_object("progress");
-    if (!raw) return E::error(raw.error());
-    auto progress = parse_run_progress(origin, *raw);
-    if (!progress) return E::error(progress.error());
-    result.progress = *progress;
-  }
-  return result;
+  return parse_text<RunResult>(origin, text, parse_run_result);
 }
 
 }  // namespace aimes::exp

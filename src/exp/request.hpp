@@ -10,13 +10,19 @@
 // via `aimesc` is bit-identical (FNV-1a checksum) to the same cell run via
 // `aimes-run` — the daemon-vs-CLI parity the control-plane tests assert.
 //
-// Validation is typed (common::Status with field-path messages); JSON parse
-// errors carry byte offsets via core::json::FieldScanner, so a 400 from the
-// daemon names exactly what to fix.
+// The JSON forms of RunRequest, RunProgress and RunResult are each listed
+// once, as a field table in request.cpp that drives both the emitter and the
+// parser (common/json.hpp). Parsing is strict: an unknown key, a wrong JSON
+// type, or a fractional or out-of-range number for an integer field fails
+// with origin + dotted field path + byte offset, so a 400 from the daemon
+// names exactly what to fix. validate() alone judges value ranges and
+// cross-field rules.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "common/json.hpp"
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
@@ -131,11 +137,13 @@ struct RunRequest {
 
 /// Round-trippable JSON form (the `aimesc submit` / POST /api/v1/runs body).
 [[nodiscard]] std::string run_request_to_json(const RunRequest& req);
-/// Parses the JSON form. Absent fields keep their defaults; malformed ones
-/// fail with origin + dotted field path + byte offset. The parsed request is
-/// then validate()d.
+/// Parses the JSON form. Absent fields keep their defaults; unknown, mistyped
+/// or malformed ones fail with origin + dotted field path + byte offset. The
+/// parsed request is then validate()d.
 [[nodiscard]] common::Expected<RunRequest> parse_run_request(const std::string& origin,
                                                              const std::string& text);
+/// The same, for a request embedded in a larger document (a journal line).
+[[nodiscard]] common::Expected<RunRequest> parse_run_request(const common::json::Node& doc);
 
 /// A request resolved against the filesystem (skeleton/testbed/fault files
 /// loaded) into the exact structs the trial runners consume.
@@ -186,6 +194,7 @@ struct RunProgress {
 /// run_progress_to_json wrote.
 [[nodiscard]] common::Expected<RunProgress> parse_run_progress(const std::string& origin,
                                                                const std::string& text);
+[[nodiscard]] common::Expected<RunProgress> parse_run_progress(const common::json::Node& doc);
 
 /// Execution-side hooks, all optional. `log` receives progress lines from
 /// whichever pool worker finished a trial (must be thread-safe when
@@ -240,12 +249,14 @@ struct RunResult {
 /// daemon's view/list payload and `aimes-run --json`-style reporting.
 [[nodiscard]] std::string run_result_to_json(const RunResult& result);
 
-/// Parses run_result_to_json's output back into the scalar summary fields
+/// Parses run_result_to_json's output back into the verdict fields
 /// (ok/success/cancelled/error/kind/trials/checksum/wall/progress). The
-/// per-cell aggregates (Summary means, first-trial detail) are not on the
-/// wire and stay default — this is the journal-replay path, which needs the
-/// verdict and the bit-identity witness, not the full in-memory aggregates.
+/// per-cell summary keys are accepted and type-checked but not restored, and
+/// first-trial detail is not on the wire: this is the journal-replay path,
+/// which needs the verdict and the bit-identity witness, not the full
+/// in-memory aggregates.
 [[nodiscard]] common::Expected<RunResult> parse_run_result(const std::string& origin,
                                                            const std::string& text);
+[[nodiscard]] common::Expected<RunResult> parse_run_result(const common::json::Node& doc);
 
 }  // namespace aimes::exp

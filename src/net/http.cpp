@@ -20,6 +20,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "net/fault.hpp"
 
@@ -32,6 +33,9 @@ namespace {
 constexpr std::size_t kMaxMessageBytes = 1 << 20;
 /// Per-connection read timeout; a stalled client cannot wedge the loop.
 constexpr int kIoTimeoutMs = 5000;
+/// Bounds on draining an upload left unread by an early error response.
+constexpr std::size_t kLingerBytes = 4 * kMaxMessageBytes;
+constexpr int kLingerMs = 2000;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -167,6 +171,32 @@ common::Expected<std::string> read_message(int fd) {
   }
   if (buf.size() > kMaxMessageBytes) return E::error("oversized message");
   return buf;
+}
+
+/// Lingering close after an early error response (413, or a 400 before the
+/// body was read). Closing a socket with unread input makes the kernel reset
+/// the connection, and the reset can destroy the response before the client
+/// reads it. So: half-close (the client sees EOF after the response), then
+/// read and discard the rest of the upload, up to a byte and a time bound so
+/// a client that never stops sending cannot hold the connection. Plain
+/// recv(2), not the fault shim: draining is not protocol I/O.
+void drain_upload(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kLingerMs);
+  char chunk[16384];
+  std::size_t drained = 0;
+  while (drained < kLingerBytes) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    pollfd pfd{fd, POLLIN, 0};
+    if (left <= 0 || ::poll(&pfd, 1, static_cast<int>(left)) <= 0) return;
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    drained += static_cast<std::size_t>(n);
+  }
 }
 
 /// Non-blocking connect with a poll-based deadline: a black-holed address
@@ -633,12 +663,12 @@ void HttpServer::handle_connection(int conn) {
   HttpResponse response;
   if (!message) {
     response.status = message.error().find("oversized") != std::string::npos ? 413 : 400;
-    response.body = "{\"error\": \"" + message.error() + "\"}\n";
+    response.body = "{\"error\": \"" + common::json::escape(message.error()) + "\"}\n";
   } else {
     auto request = parse_http_request(*message);
     if (!request) {
       response.status = 400;
-      response.body = "{\"error\": \"" + request.error() + "\"}\n";
+      response.body = "{\"error\": \"" + common::json::escape(request.error()) + "\"}\n";
     } else {
       response = handler_(*request);
     }
@@ -660,6 +690,7 @@ void HttpServer::handle_connection(int conn) {
   } else {
     send_all(conn, render_http_response(response));
   }
+  if (!message) drain_upload(conn);
   ::shutdown(conn, SHUT_RDWR);
   ::close(conn);
 }
@@ -670,13 +701,13 @@ common::Expected<HttpResponse> http_call(const Endpoint& endpoint, const HttpReq
   auto fd = open_client_fd(endpoint, connect_timeout_ms);
   if (!fd) return E::error(fd.error());
   const std::string host = endpoint.is_unix() ? "localhost" : endpoint.describe();
-  if (!send_all(*fd, render_http_request(request, host))) {
-    ::close(*fd);
-    return E::error("send failed");
-  }
+  const bool sent = send_all(*fd, render_http_request(request, host));
   ::shutdown(*fd, SHUT_WR);
+  // Even when the send failed: a server that refuses early (413) answers
+  // before the upload is done, and that answer is the useful outcome.
   auto message = read_message(*fd);
   ::close(*fd);
+  if (!sent && (!message || message->empty())) return E::error("send failed");
   if (!message) return E::error(message.error());
   return parse_http_response(*message);
 }

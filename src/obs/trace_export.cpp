@@ -7,9 +7,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/json.hpp"
+
 namespace aimes::obs {
 
 namespace {
+
+using common::json::escape;
 
 /// Deterministic numeric rendering: integers without a decimal point (the
 /// common case for counters/gauges), everything else shortest-ish %.10g.
@@ -27,7 +31,7 @@ std::string attrs_json(const std::vector<Attr>& attrs) {
   std::string out = "{";
   for (std::size_t i = 0; i < attrs.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + json_escape(attrs[i].first) + "\":\"" + json_escape(attrs[i].second) + '"';
+    out += '"' + escape(attrs[i].first) + "\":\"" + escape(attrs[i].second) + '"';
   }
   out += '}';
   return out;
@@ -53,29 +57,6 @@ class TrackIndex {
 };
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 void export_chrome_trace(const SpanTracer& tracer, const MetricsRegistry& metrics,
                          std::ostream& out) {
@@ -116,7 +97,7 @@ void export_chrome_trace(const SpanTracer& tracer, const MetricsRegistry& metric
                   ",\"cat\":\"span\",\"name\":\"",
                   tid, begin_us, dur_us);
     std::string ev = head;
-    ev += json_escape(s.name);
+    ev += escape(s.name);
     ev += "\",\"args\":";
     std::vector<Attr> attrs = s.attrs;
     attrs.emplace_back("span_id", std::to_string(s.id));
@@ -134,7 +115,7 @@ void export_chrome_trace(const SpanTracer& tracer, const MetricsRegistry& metric
                   ",\"cat\":\"annotation\",\"name\":\"",
                   tid, inst.when.count_ms() * 1000);
     std::string ev = head;
-    ev += json_escape(inst.name);
+    ev += escape(inst.name);
     ev += "\",\"args\":";
     ev += attrs_json(inst.attrs);
     ev += '}';
@@ -145,7 +126,7 @@ void export_chrome_trace(const SpanTracer& tracer, const MetricsRegistry& metric
   // separate tracks, e.g. aimes_pilot_units_queued{tenant="1"} vs {"2"}).
   for (const auto& m : metrics.metrics()) {
     if (m->series.empty()) continue;
-    const std::string name = json_escape(m->key());
+    const std::string name = escape(m->key());
     for (const SeriesPoint& p : m->series) {
       char head[96];
       std::snprintf(head, sizeof(head), "{\"ph\":\"C\",\"pid\":1,\"ts\":%" PRId64
@@ -164,7 +145,7 @@ void export_chrome_trace(const SpanTracer& tracer, const MetricsRegistry& metric
   for (std::size_t i = 0; i < tracks.names().size(); ++i) {
     std::string ev = "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
                      ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-                     json_escape(tracks.names()[i]) + "\"}}";
+                     escape(tracks.names()[i]) + "\"}}";
     emit(ev);
   }
 

@@ -20,9 +20,6 @@
 
 namespace aimes::obs {
 
-/// JSON-escapes `s` (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s);
-
 /// Writes `{"traceEvents":[...]}`. Virtual milliseconds map to trace
 /// microseconds (1 sim ms = 1000 trace µs); pid is always 1; tids are
 /// assigned per distinct track in first-appearance order and named via `M`

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/json.hpp"
 #include "common/string_util.hpp"
 
 namespace aimes::skeleton {
@@ -254,10 +255,10 @@ std::string to_shell_script(const SkeletonApplication& app) {
 
 std::string to_json(const SkeletonApplication& app) {
   std::ostringstream out;
-  out << "{\n  \"name\": \"" << app.name() << "\",\n  \"tasks\": [\n";
+  out << "{\n  \"name\": \"" << common::json::escape(app.name()) << "\",\n  \"tasks\": [\n";
   for (std::size_t i = 0; i < app.tasks().size(); ++i) {
     const auto& t = app.tasks()[i];
-    out << "    {\"id\": " << t.id.value() << ", \"name\": \"" << t.name
+    out << "    {\"id\": " << t.id.value() << ", \"name\": \"" << common::json::escape(t.name)
         << "\", \"stage\": " << t.stage << ", \"cores\": " << t.cores
         << ", \"duration_s\": " << t.duration.to_seconds() << ", \"inputs\": [";
     for (std::size_t k = 0; k < t.inputs.size(); ++k) {
@@ -272,7 +273,7 @@ std::string to_json(const SkeletonApplication& app) {
   out << "  ],\n  \"files\": [\n";
   for (std::size_t i = 0; i < app.files().size(); ++i) {
     const auto& f = app.files()[i];
-    out << "    {\"id\": " << f.id.value() << ", \"name\": \"" << f.name
+    out << "    {\"id\": " << f.id.value() << ", \"name\": \"" << common::json::escape(f.name)
         << "\", \"bytes\": " << f.size.count_bytes() << ", \"producer\": "
         << (f.external() ? 0 : f.producer.value()) << "}"
         << (i + 1 < app.files().size() ? "," : "") << "\n";

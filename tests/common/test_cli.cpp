@@ -23,6 +23,7 @@ TEST(CliParse, StrictIntAndDoubleRejectGarbageAndRange) {
   EXPECT_TRUE(parse_double("0.5", 0.0, 1.0).ok());
   EXPECT_FALSE(parse_double("0.5pt", 0.0, 1.0).ok());
   EXPECT_FALSE(parse_double("1.5", 0.0, 1.0).ok());
+  EXPECT_FALSE(parse_double("nan", 0.0, 1.0).ok());  // NaN fails no comparison
 }
 
 TEST(CliParser, ParsesFlagsAndValuesAndTracksSeen) {

@@ -25,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/json_scan.hpp"
+#include "common/json.hpp"
 #include "ctl/daemon.hpp"
 #include "ctl/registry.hpp"
 #include "exp/request.hpp"
@@ -132,16 +132,22 @@ std::uint64_t submit_idempotent(const net::Endpoint& endpoint, const exp::RunReq
   while (std::chrono::steady_clock::now() < deadline) {
     auto response = net::http_call(endpoint, request, 2000);
     if (response.ok() && response->status == 202) {
-      core::json::FieldScanner scanner("response", response->body);
-      auto id = scanner.number("id");
+      auto id = common::json::Node::parse("response", response->body)
+                    .value_or({})
+                    .get("id")
+                    .integer<std::uint64_t>();
       EXPECT_TRUE(id.ok()) << response->body;
-      return id.ok() ? static_cast<std::uint64_t>(*id) : 0;
+      return id.ok() ? *id : 0;
     }
     // Anything else is a typed refusal (4xx/5xx) or a torn wire; both retry.
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff.next_ms()));
   }
   ADD_FAILURE() << "submit with key " << key << " never landed";
   return 0;
+}
+
+std::string field(const std::string& json, const std::string& key) {
+  return common::json::Node::parse("record", json).value_or({}).get(key).text().value_or("");
 }
 
 /// Polls GET /runs/<id> (with chaos retries) until the state is terminal.
@@ -153,10 +159,8 @@ std::string await_terminal(const net::Endpoint& endpoint, std::uint64_t id) {
     auto response = call_until(endpoint, http("GET", target), 10s, id);
     if (response.ok()) {
       body = response->body;
-      core::json::FieldScanner scanner("record", body);
-      auto state = scanner.text("state");
-      if (state.ok() &&
-          (*state == "done" || *state == "failed" || *state == "cancelled")) {
+      const std::string state = field(body, "state");
+      if (state == "done" || state == "failed" || state == "cancelled") {
         return body;
       }
     }
@@ -200,11 +204,6 @@ std::string temp_journal(const std::string& name) {
   return testing::TempDir() + "aimes_chaos_" + name + ".jsonl";
 }
 
-std::string field(const std::string& json, const std::string& key) {
-  core::json::FieldScanner scanner("record", json);
-  auto value = scanner.text(key);
-  return value.ok() ? *value : "";
-}
 
 TEST(ControlPlaneChaos, ConcurrentSubmitStreamCancelAllResolveTyped) {
   ctl::DaemonOptions options;

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/json_scan.hpp"
+#include "common/json.hpp"
 #include "ctl/daemon.hpp"
 #include "exp/request.hpp"
 #include "net/http.hpp"
@@ -42,16 +42,25 @@ net::HttpRequest http(const std::string& method, const std::string& target,
   return req;
 }
 
+/// The "id" of a JSON response body.
+common::Expected<std::uint64_t> body_id(const std::string& body) {
+  const auto doc = common::json::Node::parse("response", body).value_or({});
+  return doc.get("id").integer<std::uint64_t>();
+}
+
 /// Submits `req` over the wire; returns the run id (asserts on failure).
 std::uint64_t submit(std::uint16_t port, const exp::RunRequest& req) {
   auto response = net::http_call(port, http("POST", "/api/v1/runs",
                                             exp::run_request_to_json(req)));
   EXPECT_TRUE(response.ok()) << response.error();
   EXPECT_EQ(response->status, 202) << response->body;
-  core::json::FieldScanner scanner("response", response->body);
-  auto id = scanner.number("id");
+  auto id = body_id(response->body);
   EXPECT_TRUE(id.ok()) << response->body;
-  return id.ok() ? static_cast<std::uint64_t>(*id) : 0;
+  return id.ok() ? *id : 0;
+}
+
+std::string field(const std::string& json, const std::string& key) {
+  return common::json::Node::parse("record", json).value_or({}).get(key).text().value_or("");
 }
 
 /// Polls GET /runs/<id> until the state is terminal; returns the final body.
@@ -63,10 +72,8 @@ std::string await_terminal(std::uint16_t port, std::uint64_t id) {
     auto response = net::http_call(port, http("GET", target));
     if (!response.ok()) return "transport error: " + response.error();
     body = response->body;
-    core::json::FieldScanner scanner("record", body);
-    auto state = scanner.text("state");
-    if (state.ok() &&
-        (*state == "done" || *state == "failed" || *state == "cancelled")) {
+    const std::string state = field(body, "state");
+    if (state == "done" || state == "failed" || state == "cancelled") {
       return body;
     }
     std::this_thread::sleep_for(5ms);
@@ -74,11 +81,6 @@ std::string await_terminal(std::uint16_t port, std::uint64_t id) {
   return body;
 }
 
-std::string field(const std::string& json, const std::string& key) {
-  core::json::FieldScanner scanner("record", json);
-  auto value = scanner.text(key);
-  return value.ok() ? *value : "";
-}
 
 TEST(DaemonLifecycle, SubmitViewCancelRoundTrip) {
   ctl::Daemon daemon;
@@ -161,13 +163,14 @@ TEST(DaemonLifecycle, ConcurrentTenantsMatchDirectExecution) {
                 static_cast<unsigned long long>(direct_ana.checksum));
   std::snprintf(expected_ben, sizeof(expected_ben), "%016llx",
                 static_cast<unsigned long long>(direct_ben.checksum));
-  core::json::FieldScanner ana_scan("record", ana_record);
-  core::json::FieldScanner ben_scan("record", ben_record);
-  auto ana_result = ana_scan.object("result");
-  auto ben_result = ben_scan.object("result");
+  auto ana_scan = common::json::Node::parse("record", ana_record);
+  auto ben_scan = common::json::Node::parse("record", ben_record);
+  ASSERT_TRUE(ana_scan.ok() && ben_scan.ok());
+  auto ana_result = ana_scan->get("result").object();
+  auto ben_result = ben_scan->get("result").object();
   ASSERT_TRUE(ana_result.ok() && ben_result.ok());
-  EXPECT_EQ(ana_result->text("checksum").value_or(""), expected_ana) << ana_record;
-  EXPECT_EQ(ben_result->text("checksum").value_or(""), expected_ben) << ben_record;
+  EXPECT_EQ(ana_result->get("checksum").text().value_or(""), expected_ana) << ana_record;
+  EXPECT_EQ(ben_result->get("checksum").text().value_or(""), expected_ben) << ben_record;
   // Different seeds, different worlds.
   EXPECT_NE(direct_ana.checksum, direct_ben.checksum);
   daemon.stop();
@@ -377,9 +380,7 @@ TEST(DaemonLifecycle, IdempotentResubmitOverTheSocketYieldsOneRun) {
   ASSERT_TRUE(again.ok()) << again.error();
   EXPECT_EQ(again->status, 202);
   EXPECT_NE(again->body.find("\"duplicate\": true"), std::string::npos) << again->body;
-  core::json::FieldScanner first_scan("response", first->body);
-  core::json::FieldScanner again_scan("response", again->body);
-  EXPECT_EQ(first_scan.number("id").value_or(0), again_scan.number("id").value_or(-1));
+  EXPECT_EQ(body_id(first->body).value_or(0), body_id(again->body).value_or(1u << 31));
   EXPECT_EQ(daemon.registry().list().size(), 1u);
   daemon.stop();
 }
@@ -398,11 +399,10 @@ TEST(DaemonLifecycle, ServesTheFullApiOverAUnixDomainSocket) {
       endpoint, http("POST", "/api/v1/runs", exp::run_request_to_json(quick_request())));
   ASSERT_TRUE(response.ok()) << response.error();
   ASSERT_EQ(response->status, 202) << response->body;
-  core::json::FieldScanner scanner("response", response->body);
-  const auto id = scanner.number("id");
+  const auto id = body_id(response->body);
   ASSERT_TRUE(id.ok()) << response->body;
 
-  const std::string target = "/api/v1/runs/" + std::to_string(static_cast<std::uint64_t>(*id));
+  const std::string target = "/api/v1/runs/" + std::to_string(*id);
   const auto deadline = std::chrono::steady_clock::now() + 30s;
   std::string state;
   while (std::chrono::steady_clock::now() < deadline) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -84,6 +85,79 @@ void run_one_through(const std::string& path) {
   const auto outcome = registry.submit(small_request(), "ana");
   ASSERT_TRUE(outcome.accepted) << outcome.error;
   ASSERT_TRUE(eventually([&] { return registry.counters().completed == 1; }));
+}
+
+/// Canonical text of a replay: every field a record carries, through the
+/// wire emitters, so two replays compare as one string.
+std::string dump_replay(const ctl::JournalReplay& replay) {
+  std::ostringstream out;
+  out << "lines " << replay.lines << " malformed " << replay.malformed_lines << "\n";
+  for (const ctl::RunRecord& r : replay.records) {
+    out << "run " << r.id << " user=" << r.user << " name=" << r.name
+        << " key=" << r.idempotency_key << " state=" << ctl::to_string(r.state)
+        << " cancel=" << ctl::to_string(r.cancel_reason)
+        << " fail=" << ctl::to_string(r.fail_reason) << " at=" << r.submitted_at << "/"
+        << r.started_at << "/" << r.finished_at << "\n"
+        << exp::run_request_to_json(r.request);
+    for (const std::string& line : r.log) out << "log " << line << "\n";
+    for (const exp::RunProgress& p : r.progress) {
+      out << "progress " << exp::run_progress_to_json(p) << "\n";
+    }
+    out << exp::run_result_to_json(r.result);
+  }
+  return out.str();
+}
+
+TEST(Journal, ReplaysAFixtureRecordedBeforeTheStrictReaderToTheSameRecords) {
+  // parent_journal.jsonl was written by aimesd while the journal was still
+  // read by the substring-scanning reader: a single-app run, a campaign with
+  // an admission quota, a faulted run, a run cancelled by its user and one
+  // failed by a daemon restart, every submit carrying an idempotency key.
+  // parent_journal.expected is dump_replay() of that reader's replay.
+  const std::string dir = std::string(AIMES_TEST_DATA_DIR) + "/ctl/";
+  auto replay = ctl::replay_journal(dir + "parent_journal.jsonl");
+  ASSERT_TRUE(replay.ok()) << replay.error();
+  std::ifstream expected_file(dir + "parent_journal.expected");
+  std::stringstream expected;
+  expected << expected_file.rdbuf();
+  ASSERT_FALSE(expected.str().empty());
+  EXPECT_EQ(dump_replay(*replay), expected.str());
+
+  EXPECT_EQ(replay->malformed_lines, 0u);
+  ASSERT_EQ(replay->records.size(), 5u);
+  for (const ctl::RunRecord& record : replay->records) {
+    EXPECT_EQ(record.idempotency_key.size(), 32u);
+    EXPECT_FALSE(record.log.empty());
+    EXPECT_FALSE(record.progress.empty());
+  }
+  const ctl::RunRecord& campaign = replay->records[1];
+  EXPECT_EQ(campaign.request.campaign.tenants, 3);
+  EXPECT_TRUE(campaign.request.admission.enabled);
+  EXPECT_EQ(campaign.request.admission.slo, "batch");
+  EXPECT_TRUE(campaign.result.is_campaign);
+  EXPECT_EQ(campaign.result.checksum, campaign.progress.back().checksum);
+  EXPECT_EQ(replay->records[3].cancel_reason, ctl::CancelReason::kUser);
+  EXPECT_EQ(replay->records[4].fail_reason, ctl::FailReason::kDaemonRestart);
+}
+
+TEST(Journal, LinesWithUnknownOrMistypedKeysAreSkippedAsMalformed) {
+  const std::string path = temp_journal("strict");
+  std::remove(path.c_str());
+  run_one_through(path);
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "{\"event\": \"log\", \"id\": 1, \"line\": \"x\", \"extra\": 1}\n"
+        << "{\"event\": \"log\", \"id\": 1.5, \"line\": \"x\"}\n"
+        << "{\"event\": \"finish\", \"id\": 1, \"state\": \"done\", \"cancel_reason\": "
+           "\"bogus\", \"result\": {}}\n"
+        << "{\"event\": \"log\", \"id\": 1, \"line\": \"kept\"}\n";
+  }
+  auto replay = ctl::replay_journal(path);
+  ASSERT_TRUE(replay.ok()) << replay.error();
+  EXPECT_EQ(replay->malformed_lines, 3u);
+  ASSERT_EQ(replay->records.size(), 1u);
+  EXPECT_EQ(replay->records[0].log.back(), "kept");
+  EXPECT_EQ(replay->records[0].state, ctl::RunState::kDone);
 }
 
 TEST(Journal, MissingFileIsEmptyJournalNotAnError) {

@@ -112,6 +112,83 @@ TEST(RunRequestJson, RejectsGarbageDocument) {
   EXPECT_FALSE(exp::parse_run_request("request body", "").ok());
 }
 
+TEST(RunRequestJson, LenientBodiesOfTheOldReaderAreTypedErrors) {
+  // Each of these once parsed "ok": a typo fell back to the default, a
+  // nested key answered for the top-level one, a fraction or an out-of-range
+  // seed was truncated. Each must now name the field or the byte.
+  const struct {
+    const char* body;
+    const char* what;
+  } cases[] = {
+      {"{\"taks\": 32}", "field 'taks' at byte 9: unknown field"},
+      {"{\"strategy\": {\"tasks\": 5}, \"tasks\": 64}",
+       "field 'strategy.tasks' at byte 23: unknown field"},
+      {"{\"tasks\": 32, \"tasks\": 64}", "field 'tasks' at byte 23: duplicate key"},
+      {"{\"tasks\": 32} garbage", "at byte 14: unexpected bytes after the document"},
+      {"{,,\"tasks\": 32,,}", "at byte 1: expected a string key"},
+      {"{\"tasks\": 32", "field 'tasks' at byte 12: expected ',' or '}'"},
+      {"{\"tasks\": 64abc}", "field 'tasks' at byte 12: expected ',' or '}'"},
+      {"{\"tasks\": 64.9}", "field 'tasks' at byte 10: expected an integer in"},
+      {"{\"admission\": {\"enabled\": trueish}}",
+       "field 'admission.enabled' at byte 30: expected ',' or '}'"},
+      {"{\"seed\": 1e25}", "field 'seed' at byte 9: expected an integer in [0, "},
+      {"{\"seed\": -1}", "field 'seed' at byte 9: expected an integer in [0, "},
+      {"{\"tasks\": \"32\"}", "field 'tasks' at byte 10: expected a number"},
+      {"{\"strategy\": 3}", "field 'strategy' at byte 13: expected an object"},
+      {"{\"observability\": {\"enabled\": 1}}",
+       "field 'observability.enabled' at byte 30: expected true or false"},
+      {"{\"campaign\": {\"arrival\": \"poisson:nan\"}}",
+       "field 'campaign.arrival' at byte 25: invalid value 'nan'"},
+      {"{\"admission\": {\"quota\": \"3e9:2\"}}",
+       "field 'admission.quota' at byte 24: invalid value '3e9'"},
+      {"{\"admission\": {\"quota\": \"2.5:1\"}}",
+       "field 'admission.quota' at byte 24: expected whole cores and units"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = exp::parse_run_request("request body", c.body);
+    ASSERT_FALSE(parsed.ok()) << c.body;
+    EXPECT_EQ(parsed.error().rfind("request body: ", 0), 0u) << parsed.error();
+    EXPECT_NE(parsed.error().find(c.what), std::string::npos)
+        << c.body << " -> " << parsed.error();
+  }
+
+  // A body of nothing but '[' is a typed depth error, not a stack overflow.
+  auto deep = exp::parse_run_request("request body", std::string(1 << 20, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_NE(deep.error().find("nesting deeper than 64 levels"), std::string::npos)
+      << deep.error().substr(0, 200);
+}
+
+TEST(RunRequestJson, ControlBytesQuotesAndBackslashesRoundTrip) {
+  exp::RunRequest req;
+  for (int c = 1; c < 0x20; ++c) req.name += static_cast<char>(c);
+  req.name += "\"q\" back\\slash a\rb\x01";
+  req.user = std::string("nul\0byte", 8);
+  const std::string json = exp::run_request_to_json(req);
+  for (const char c : json) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+  }
+  auto parsed = exp::parse_run_request("round-trip", json);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed->name, req.name);
+  EXPECT_EQ(parsed->user, req.user);
+  EXPECT_EQ(exp::run_request_to_json(*parsed), json);
+}
+
+TEST(RunRequestJson, SeedsBeyondDoublePrecisionRoundTripExactly) {
+  exp::RunRequest req;
+  req.seed = 18446744073709551615ULL;
+  auto parsed = exp::parse_run_request("round-trip", exp::run_request_to_json(req));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed->seed, req.seed);
+  req.seed = (1ULL << 53) + 1;
+  parsed = exp::parse_run_request("round-trip", exp::run_request_to_json(req));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed->seed, req.seed);
+}
+
 TEST(RunRequestValidate, BoundsAndConflicts) {
   exp::RunRequest req = quick_request();
   EXPECT_TRUE(exp::validate(req).ok());
@@ -372,6 +449,27 @@ TEST(RunProgress, RunResultJsonRoundTripRestoresVerdict) {
   EXPECT_EQ(restored->progress_events, result.progress_events);
   EXPECT_EQ(restored->progress.checksum, result.progress.checksum);
   EXPECT_EQ(restored->progress.trials_done, result.progress.trials_done);
+}
+
+TEST(RunProgress, CampaignResultJsonRoundTripsAndRejectsUnknownKeys) {
+  exp::RunRequest req = quick_request();
+  req.profile = "bag-uniform";
+  req.campaign.tenants = 3;
+  const exp::RunResult result = exp::execute(req);
+  ASSERT_TRUE(result.ok) << result.error;
+  const std::string json = exp::run_result_to_json(result);
+  auto restored = exp::parse_run_result("test", json);
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  EXPECT_TRUE(restored->is_campaign);
+  EXPECT_EQ(restored->checksum, result.checksum);
+  EXPECT_EQ(restored->progress.tenants_admitted, result.progress.tenants_admitted);
+
+  std::string drifted = json;
+  drifted.insert(drifted.find("\"slo_violations\""), "\"slo_violatoins\": 0,\n  ");
+  auto rejected = exp::parse_run_result("test", drifted);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.error().find("field 'slo_violatoins'"), std::string::npos)
+      << rejected.error();
 }
 
 TEST(RunRequestResult, JsonCarriesChecksumAsHexString) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "net/fault.hpp"
 #include "net/http.hpp"
 
@@ -119,6 +120,26 @@ TEST(HttpServer, MalformedRequestGets400TypedBody) {
   auto res = net::http_call(*port, req);
   ASSERT_TRUE(res.ok()) << res.error();
   EXPECT_EQ(res->status, 200);
+  server.stop();
+}
+
+TEST(HttpServer, MalformedRequestLineWithAQuoteGets400WhoseBodyParses) {
+  net::HttpServer server;
+  auto port = server.start(0, [](const net::HttpRequest&) { return net::HttpResponse{}; });
+  ASSERT_TRUE(port.ok()) << port.error();
+  // A space in the target splits the request line into four words, so the
+  // parser rejects it and quotes the line, quote included, in the error.
+  net::HttpRequest req;
+  req.method = "GET";
+  req.target = "/a \"b";
+  auto res = net::http_call(*port, req);
+  ASSERT_TRUE(res.ok()) << res.error();
+  EXPECT_EQ(res->status, 400) << res->body;
+  auto body = common::json::Node::parse("response", res->body);
+  ASSERT_TRUE(body.ok()) << body.error() << "\n" << res->body;
+  const auto error = body->get("error").text();
+  ASSERT_TRUE(error.ok()) << error.error();
+  EXPECT_NE(error->find("'GET /a \"b HTTP/1.1'"), std::string::npos) << *error;
   server.stop();
 }
 

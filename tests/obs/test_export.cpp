@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/tracer.hpp"
@@ -15,10 +16,12 @@ using common::SimTime;
 SimTime at(double s) { return SimTime::epoch() + SimDuration::seconds(s); }
 
 TEST(Export, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("x\ny"), "x\\ny");
-  EXPECT_EQ(json_escape(std::string("z\x01")), "z\\u0001");
+  // The exporters escape through the one shared JSON escaper.
+  using common::json::escape;
+  EXPECT_EQ(escape("plain"), "plain");
+  EXPECT_EQ(escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(escape("x\ny"), "x\\ny");
+  EXPECT_EQ(escape(std::string("z\x01")), "z\\u0001");
 }
 
 TEST(Export, ChromeTraceHasSpansCountersAndTrackNames) {

@@ -44,7 +44,7 @@
 
 #include "common/cli.hpp"
 #include "common/rng.hpp"
-#include "core/json_scan.hpp"
+#include "common/json.hpp"
 #include "exp/request.hpp"
 #include "exp/request_cli.hpp"
 #include "net/http.hpp"
@@ -52,6 +52,7 @@
 namespace {
 
 using namespace aimes;
+using common::json::Node;
 
 constexpr int kDefaultPort = 8477;
 
@@ -117,8 +118,8 @@ common::Expected<net::HttpResponse> call(const Remote& remote, const std::string
     if (response && (response->status == 429 || response->status == 503)) {
       // "draining" means this daemon is going away — retrying against it
       // cannot succeed, so surface the typed refusal immediately.
-      transient =
-          response->body.find("\"reason\": \"draining\"") == std::string::npos;
+      const Node body = Node::parse("response", response->body).value_or({});
+      transient = body.get("reason").text().value_or("") != "draining";
     }
     if (!transient || attempt >= remote.retries) return response;
     int delay_ms = backoff.next_ms();
@@ -151,143 +152,86 @@ std::string make_idempotency_key() {
 
 /// Prints the daemon's typed error body ({"error": "...", "reason": ...}).
 void print_error_body(const net::HttpResponse& response) {
-  core::json::FieldScanner scanner("response", response.body);
-  const auto err = scanner.text("error");
-  const auto reason = scanner.text("reason");
-  if (err && reason) {
-    std::fprintf(stderr, "aimesc: %s [%s] (HTTP %d)\n", err->c_str(), reason->c_str(),
+  const Node body = Node::parse("response", response.body).value_or({});
+  const std::string err = body.get("error").text().value_or("");
+  const std::string reason = body.get("reason").text().value_or("");
+  if (!err.empty() && !reason.empty()) {
+    std::fprintf(stderr, "aimesc: %s [%s] (HTTP %d)\n", err.c_str(), reason.c_str(),
                  response.status);
-  } else if (err) {
-    std::fprintf(stderr, "aimesc: %s (HTTP %d)\n", err->c_str(), response.status);
+  } else if (!err.empty()) {
+    std::fprintf(stderr, "aimesc: %s (HTTP %d)\n", err.c_str(), response.status);
   } else {
     std::fprintf(stderr, "aimesc: HTTP %d: %s\n", response.status, response.body.c_str());
   }
 }
 
-/// Splits a JSON array of objects into its "{...}" elements (enough for the
-/// daemon's own output; strings with braces are handled, arrays of arrays —
-/// which the daemon never emits — are not).
-std::vector<std::string> split_objects(const std::string& json) {
-  std::vector<std::string> out;
-  int depth = 0;
-  bool in_string = false;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{') {
-      if (depth++ == 0) start = i;
-    } else if (c == '}') {
-      if (--depth == 0) out.push_back(json.substr(start, i - start + 1));
-    }
-  }
-  return out;
+/// The run records of a GET /api/v1/runs body ({"runs": [...]}).
+std::vector<Node> run_records(const std::string& body) {
+  return Node::parse("response", body).value_or({}).get("runs").items().value_or({});
+}
+
+/// A non-negative count field of a run-list record (0 when absent).
+std::uint64_t count(const Node& record, std::string_view key) {
+  return record.get(key).integer<std::uint64_t>().value_or(0);
+}
+
+/// "done/total" trials of a run-list record.
+std::string trials_cell(const Node& record) {
+  return std::to_string(count(record, "trials_done")) + "/" +
+         std::to_string(count(record, "trials_total"));
 }
 
 /// One run's line in `aimesc list`: id, state, user, trials, name — widths
-/// fixed so the columns stay aligned as runs progress.
-void print_run_line(const std::string& record_json) {
-  core::json::FieldScanner scanner("record", record_json);
-  const auto id = scanner.number("id");
-  const auto state = scanner.text("state");
-  const auto user = scanner.text("user");
-  const auto name = scanner.text("name");
-  const auto done = scanner.number("trials_done");
-  const auto total = scanner.number("trials_total");
+/// fixed so the columns stay aligned as runs progress. `top` adds virtual
+/// time and shed count from the run's latest progress snapshot.
+void print_run_line(const Node& record, bool top) {
+  const auto id = record.get("id").integer<std::uint64_t>();
+  const auto state = record.get("state").text();
   if (!id || !state) return;
-  char trials[32];
-  std::snprintf(trials, sizeof trials, "%.0f/%.0f", done ? *done : 0,
-                total ? *total : 0);
-  std::printf("  %4.0f  %-10s %-10s %9s  %s\n", *id, state->c_str(),
-              user ? user->c_str() : "?", trials, name ? name->c_str() : "");
-}
-
-/// One run's line in `aimesc top`: adds virtual time and shed count from the
-/// run's latest progress snapshot.
-void print_top_line(const std::string& record_json) {
-  core::json::FieldScanner scanner("record", record_json);
-  const auto id = scanner.number("id");
-  const auto state = scanner.text("state");
-  const auto user = scanner.text("user");
-  const auto name = scanner.text("name");
-  const auto done = scanner.number("trials_done");
-  const auto total = scanner.number("trials_total");
-  const auto vt = scanner.number("vt_s");
-  const auto sheds = scanner.number("sheds");
-  if (!id || !state) return;
-  char trials[32];
-  std::snprintf(trials, sizeof trials, "%.0f/%.0f", done ? *done : 0,
-                total ? *total : 0);
-  std::printf("  %4.0f  %-10s %-10s %9s %10.1f %6.0f  %s\n", *id, state->c_str(),
-              user ? user->c_str() : "?", trials, vt ? *vt : 0.0,
-              sheds ? *sheds : 0.0, name ? name->c_str() : "");
-}
-
-/// Human one-liner for a RunProgress JSON document (an /events data payload
-/// or one element of a record's "progress" array).
-void print_progress_line(std::uint64_t run_id, const std::string& progress_json) {
-  core::json::FieldScanner scanner("progress", progress_json);
-  const auto done = scanner.number("trials_done");
-  const auto total = scanner.number("trials_total");
-  const auto units = scanner.number("units_done");
-  const auto vt = scanner.number("vt_s");
-  const auto sheds = scanner.number("tenants_shed");
-  if (!done || !total) return;
-  std::printf("run %llu: trial %.0f/%.0f | units %.0f | vt %.1f s | sheds %.0f\n",
-              static_cast<unsigned long long>(run_id), *done, *total,
-              units ? *units : 0, vt ? *vt : 0, sheds ? *sheds : 0);
-  std::fflush(stdout);
-}
-
-/// Raw text of the record's "progress" array ("[...]"), or empty.
-std::string progress_array(const std::string& record_json) {
-  const std::size_t key = record_json.find("\"progress\": [");
-  if (key == std::string::npos) return "";
-  const std::size_t open = record_json.find('[', key);
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = open; i < record_json.size(); ++i) {
-    const char c = record_json[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '[') ++depth;
-    else if (c == ']' && --depth == 0) return record_json.substr(open, i - open + 1);
+  std::printf("  %4llu  %-10s %-10s %9s", static_cast<unsigned long long>(*id),
+              state->c_str(), record.get("user").text().value_or("?").c_str(),
+              trials_cell(record).c_str());
+  if (top) {
+    std::printf(" %10.1f %6llu", record.get("vt_s").number().value_or(0.0),
+                static_cast<unsigned long long>(count(record, "sheds")));
   }
-  return "";
+  std::printf("  %s\n", record.get("name").text().value_or("").c_str());
+}
+
+/// Human one-liner for a RunProgress snapshot (an /events data payload or
+/// one element of a record's "progress" array).
+void print_progress_line(std::uint64_t run_id, const exp::RunProgress& p) {
+  std::printf("run %llu: trial %d/%d | units %llu | vt %.1f s | sheds %llu\n",
+              static_cast<unsigned long long>(run_id), p.trials_done, p.trials_total,
+              static_cast<unsigned long long>(p.units_done), p.vt_seconds,
+              static_cast<unsigned long long>(p.tenants_shed));
+  std::fflush(stdout);
 }
 
 /// Prints the completed run's summary from its record JSON; returns the
 /// process exit code (0 only for a fully successful run).
 int print_outcome(const std::string& record_json) {
-  core::json::FieldScanner scanner("record", record_json);
-  const auto state = scanner.text("state");
+  auto record = Node::parse("record", record_json);
+  const auto state = record ? record->get("state").text()
+                            : common::Expected<std::string>::error(record.error());
   if (!state) {
     std::fprintf(stderr, "aimesc: %s\n", state.error().c_str());
     return 1;
   }
-  auto result = scanner.object("result");
-  if (!result) {
+  const Node result = record->get("result");
+  if (!result.object()) {
     std::printf("run %s (no result recorded)\n", state->c_str());
     return *state == "done" ? 0 : 1;
   }
-  const auto success = result->boolean("success");
-  const auto checksum = result->text("checksum");
-  const auto wall = result->number("wall_seconds");
+  const auto success = result.get("success").boolean();
+  const auto checksum = result.get("checksum").text();
+  const auto wall = result.get("wall_seconds").number();
   std::printf("run %s%s", state->c_str(),
               success && *success ? "" : " (with failures)");
   if (checksum) std::printf(" | checksum %s", checksum->c_str());
   if (wall) std::printf(" | wall %.1f s", *wall);
   std::printf("\n");
-  if (const auto error = result->text("error"); error && !error->empty()) {
+  if (const auto error = result.get("error").text(); error && !error->empty()) {
     std::fprintf(stderr, "aimesc: run error: %s\n", error->c_str());
   }
   return (*state == "done" && success && *success) ? 0 : 1;
@@ -391,14 +335,14 @@ int cmd_submit(int argc, char** argv) {
     print_error_body(*response);
     return 1;
   }
-  core::json::FieldScanner scanner("response", response->body);
-  const auto id = scanner.number("id");
+  const Node reply = Node::parse("response", response->body).value_or({});
+  const auto id = reply.get("id").integer<std::uint64_t>();
   if (!id) {
-    std::fprintf(stderr, "aimesc: %s\n", id.error().c_str());
+    std::fprintf(stderr, "aimesc: unreadable submit response: %s\n", response->body.c_str());
     return 1;
   }
-  const auto run_id = static_cast<std::uint64_t>(*id);
-  const auto duplicate = scanner.boolean("duplicate");
+  const std::uint64_t run_id = *id;
+  const auto duplicate = reply.get("duplicate").boolean();
   std::printf("submitted run %llu%s\n", static_cast<unsigned long long>(run_id),
               duplicate && *duplicate ? " (deduplicated retry)" : "");
   if (!wait) return 0;
@@ -441,13 +385,18 @@ int cmd_watch(const Remote& remote, std::uint64_t run_id) {
             next_seq = event.id + 1;
             got_event = true;
             if (event.kind == "progress") {
-              print_progress_line(run_id, event.data);
+              if (auto p = exp::parse_run_progress("event", event.data)) {
+                print_progress_line(run_id, *p);
+              }
             } else if (event.kind == "state") {
-              core::json::FieldScanner scanner("event", event.data);
-              const auto state = scanner.text("state");
-              if (state) {
+              const std::string state = Node::parse("event", event.data)
+                                            .value_or({})
+                                            .get("state")
+                                            .text()
+                                            .value_or("");
+              if (!state.empty()) {
                 std::printf("run %llu: %s\n",
-                            static_cast<unsigned long long>(run_id), state->c_str());
+                            static_cast<unsigned long long>(run_id), state.c_str());
                 std::fflush(stdout);
               }
             }
@@ -512,25 +461,20 @@ int cmd_top(int argc, char** argv) {
     std::string status = "?";
     double queued = 0, running = 0;
     if (health && health->status == 200) {
-      core::json::FieldScanner scanner("health", health->body);
-      if (auto s = scanner.text("status")) status = *s;
-      if (auto q = scanner.number("queued")) queued = *q;
-      if (auto r = scanner.number("running")) running = *r;
+      const Node doc = Node::parse("health", health->body).value_or({});
+      status = doc.get("status").text().value_or(status);
+      queued = doc.get("queued").number().value_or(0.0);
+      running = doc.get("running").number().value_or(0.0);
     }
     if (!once) std::printf("\033[2J\033[H");  // clear screen, home cursor
     std::printf("aimesd %s | %s | %.0f queued, %.0f running\n\n",
                 remote.endpoint().describe().c_str(), status.c_str(), queued, running);
-    const std::size_t open = runs->body.find('[');
-    const std::size_t close = runs->body.rfind(']');
-    const auto records =
-        open == std::string::npos || close == std::string::npos || close < open
-            ? std::vector<std::string>{}
-            : split_objects(runs->body.substr(open, close - open + 1));
+    const auto records = run_records(runs->body);
     if (records.empty()) {
       std::printf("no runs\n");
     } else {
       std::printf("    id  state      user          trials       vt_s  sheds  name\n");
-      for (const auto& record : records) print_top_line(record);
+      for (const auto& record : records) print_run_line(record, /*top=*/true);
     }
     std::fflush(stdout);
     if (once) return 0;
@@ -636,38 +580,33 @@ int cmd_simple(const std::string& verb, int argc, char** argv) {
   }
 
   if (verb == "list") {
-    // The body is {"runs": [ {...}, ... ]}; split inside the array so the
-    // outer wrapper does not count as the one-and-only object.
-    const std::size_t open = response->body.find('[');
-    const std::size_t close = response->body.rfind(']');
-    const auto records =
-        open == std::string::npos || close == std::string::npos || close < open
-            ? std::vector<std::string>{}
-            : split_objects(response->body.substr(open, close - open + 1));
+    const auto records = run_records(response->body);
     if (records.empty()) {
       std::printf("no runs\n");
       return 0;
     }
     std::printf("    id  state      user          trials  name\n");
-    for (const auto& record : records) print_run_line(record);
+    for (const auto& record : records) print_run_line(record, /*top=*/false);
     return 0;
   }
   if (verb == "view") {
     std::fputs(response->body.c_str(), stdout);
     // Trailing human summary of the latest progress snapshot, so a glance
     // answers "how far along is it" without reading the JSON.
-    const std::string array = progress_array(response->body);
-    if (!array.empty()) {
-      const auto snapshots = split_objects(array);
-      if (!snapshots.empty()) print_progress_line(id, snapshots.back());
+    const auto snapshots =
+        Node::parse("record", response->body).value_or({}).get("progress").items().value_or({});
+    if (!snapshots.empty()) {
+      if (auto p = exp::parse_run_progress(snapshots.back())) print_progress_line(id, *p);
     }
     return 0;
   }
   if (verb == "cancel") {
-    core::json::FieldScanner scanner("response", response->body);
-    const auto state_text = scanner.text("state");
-    std::printf("run %llu: %s\n", static_cast<unsigned long long>(id),
-                state_text ? state_text->c_str() : "cancellation requested");
+    const std::string state = Node::parse("response", response->body)
+                                  .value_or({})
+                                  .get("state")
+                                  .text()
+                                  .value_or("cancellation requested");
+    std::printf("run %llu: %s\n", static_cast<unsigned long long>(id), state.c_str());
     return 0;
   }
   // view / log / resource / metrics / shutdown: the body is the answer.
