@@ -17,6 +17,11 @@ struct ProfileCase {
   int size;
 };
 
+// gtest would otherwise print the raw bytes of the case (pointers under ASLR,
+// uninitialised padding) into --gtest_list_tests, and gtest_discover_tests
+// copies that into the ctest name, which then differs on every build.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
+
 SkeletonSpec make_mapreduce(int n) {
   return profiles::map_reduce(n, std::max(1, n / 4), common::DistributionSpec::constant(120),
                               common::DistributionSpec::constant(60));
