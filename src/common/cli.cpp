@@ -40,12 +40,19 @@ Expected<double> parse_double(std::string_view text, double min_value, double ma
   return value;
 }
 
-Parser::Parser(std::string program) : program_(std::move(program)) {}
+namespace {
 
-Parser& Parser::add(Option option) {
-  options_.push_back(std::move(option));
-  return *this;
+/// Stores a parsed value, or passes its parse error on.
+template <class T, class U>
+Status store(const Expected<U>& parsed, T& target) {
+  if (!parsed) return Status::error(parsed.error());
+  target = static_cast<T>(*parsed);
+  return {};
 }
+
+}  // namespace
+
+Parser::Parser(std::string program) : program_(std::move(program)) {}
 
 Parser::Option* Parser::find(std::string_view name) {
   for (Option& o : options_) {
@@ -55,81 +62,51 @@ Parser::Option* Parser::find(std::string_view name) {
 }
 
 Parser& Parser::flag(std::string name, bool& target, std::string help) {
-  Option o;
-  o.name = std::move(name);
-  o.help = std::move(help);
-  o.set = [&target] { target = true; };
-  return add(std::move(o));
+  options_.push_back(
+      {std::move(name), "", std::move(help), nullptr, [&target] { target = true; }});
+  return *this;
 }
 
 Parser& Parser::string_option(std::string name, std::string& target, std::string help,
                               std::string metavar) {
-  Option o;
-  o.name = std::move(name);
-  o.metavar = std::move(metavar);
-  o.help = std::move(help);
-  o.apply = [&target](const std::string& value) -> Status {
-    target = value;
-    return {};
-  };
-  return add(std::move(o));
+  return custom_option(std::move(name), std::move(metavar), std::move(help),
+                       [&target](const std::string& value) -> Status {
+                         target = value;
+                         return {};
+                       });
 }
 
 Parser& Parser::int_option(std::string name, int& target, long long min_value,
                            long long max_value, std::string help, std::string metavar) {
-  Option o;
-  o.name = std::move(name);
-  o.metavar = std::move(metavar);
-  o.help = std::move(help);
-  o.apply = [&target, min_value, max_value](const std::string& value) -> Status {
-    auto parsed = parse_int(value, min_value, max_value);
-    if (!parsed) return Status::error(parsed.error());
-    target = static_cast<int>(*parsed);
-    return {};
-  };
-  return add(std::move(o));
+  return custom_option(std::move(name), std::move(metavar), std::move(help),
+                       [&target, min_value, max_value](const std::string& value) {
+                         return store(parse_int(value, min_value, max_value), target);
+                       });
 }
 
 Parser& Parser::uint64_option(std::string name, std::uint64_t& target, std::string help,
                               std::string metavar) {
-  Option o;
-  o.name = std::move(name);
-  o.metavar = std::move(metavar);
-  o.help = std::move(help);
   // Parse through the signed checker so "-1" and garbage are rejected
   // instead of wrapping.
-  o.apply = [&target](const std::string& value) -> Status {
-    auto parsed = parse_int(value, 0, 9223372036854775807LL);
-    if (!parsed) return Status::error(parsed.error());
-    target = static_cast<std::uint64_t>(*parsed);
-    return {};
-  };
-  return add(std::move(o));
+  return custom_option(std::move(name), std::move(metavar), std::move(help),
+                       [&target](const std::string& value) {
+                         return store(parse_int(value, 0, 9223372036854775807LL), target);
+                       });
 }
 
 Parser& Parser::double_option(std::string name, double& target, double min_value,
                               double max_value, std::string help, std::string metavar) {
-  Option o;
-  o.name = std::move(name);
-  o.metavar = std::move(metavar);
-  o.help = std::move(help);
-  o.apply = [&target, min_value, max_value](const std::string& value) -> Status {
-    auto parsed = parse_double(value, min_value, max_value);
-    if (!parsed) return Status::error(parsed.error());
-    target = *parsed;
-    return {};
-  };
-  return add(std::move(o));
+  return custom_option(std::move(name), std::move(metavar), std::move(help),
+                       [&target, min_value, max_value](const std::string& value) {
+                         return store(parse_double(value, min_value, max_value), target);
+                       });
 }
 
 Parser& Parser::custom_option(std::string name, std::string metavar, std::string help,
                               std::function<Status(const std::string&)> parse) {
-  Option o;
-  o.name = std::move(name);
-  o.metavar = std::move(metavar);
-  o.help = std::move(help);
-  o.apply = std::move(parse);
-  return add(std::move(o));
+  options_.push_back(
+      {std::move(name), std::move(metavar), std::move(help), std::move(parse), nullptr});
+  return *this;
 }
 
 Parser& Parser::conflicts(std::string a, std::string b) {

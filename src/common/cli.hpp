@@ -96,7 +96,6 @@ class Parser {
     bool seen = false;
   };
 
-  Parser& add(Option option);
   [[nodiscard]] Option* find(std::string_view name);
 
   std::string program_;

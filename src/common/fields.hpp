@@ -93,14 +93,22 @@ class Reader {
   void operator()(std::string_view key, T& dst) {
     read(key, [&dst](const Node& n) { return load(n, dst); });
   }
+  /// A member whose value must also pass `check(const T&) -> Status`; a
+  /// rejection names the field and its byte offset.
+  template <class T, class C>
+  void operator()(std::string_view key, T& dst, C&& check) {
+    read(key, [&](const Node& n) {
+      auto st = load(n, dst);
+      if (st.ok() && !(st = check(std::as_const(dst))).ok()) {
+        st = Status::error(n.describe() + ": " + st.error());
+      }
+      return st;
+    });
+  }
   template <class T>
   void operator()(std::string_view key, const Spelled<T, T>& dst) {
-    read(key, [&dst](const Node& n) {
-      std::string text;
-      auto st = load(n, text);
-      if (st.ok()) st = dst.parse(text, dst.value);
-      return st.ok() ? st : Status::error(n.describe() + ": " + st.error());
-    });
+    std::string text;
+    (*this)(key, text, [&dst](const std::string& s) { return dst.parse(s, dst.value); });
   }
   /// A nested object with its own parser, `parse(const Node&) -> Expected<T>`.
   template <class T, class F>

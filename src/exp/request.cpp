@@ -1,11 +1,14 @@
 #include "exp/request.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/testbed_config.hpp"
@@ -25,31 +28,7 @@ common::Status field_error(const std::string& path, const std::string& what) {
   return common::Status::error("request: field '" + path + "': " + what);
 }
 
-/// The strategy-string vocabularies, checked by validate() and mapped by
-/// resolve(). One table each, so the spellings cannot drift apart.
-bool known_binding(const std::string& s) { return s == "early" || s == "late"; }
-bool known_scheduler(const std::string& s) {
-  return s.empty() || s == "direct" || s == "round-robin" || s == "backfill";
-}
-bool known_selection(const std::string& s) { return s == "random" || s == "predicted"; }
-bool known_profile(const std::string& s) {
-  return s == "bag-uniform" || s == "bag-gaussian" || s == "montage" || s == "blast" ||
-         s == "cybershake" || s == "mapreduce";
-}
-
-}  // namespace
-
-std::string RunRequest::display_name() const {
-  if (!name.empty()) return name;
-  std::string base = skeleton_file.empty() ? profile : skeleton_file;
-  if (is_campaign()) {
-    return "campaign-" + std::to_string(campaign.tenants) + "x" + base + "-" +
-           std::to_string(tasks);
-  }
-  if (strategy.experiment > 0) base = "exp" + std::to_string(strategy.experiment);
-  return base + "-" + std::to_string(tasks);
-}
-
+/// "poisson:RATE" (tenants/hour) or "fixed:SECONDS".
 common::Status parse_arrival_spec(const std::string& text, ArrivalSpec& out) {
   const auto colon = text.find(':');
   const std::string kind = text.substr(0, colon);
@@ -76,6 +55,7 @@ std::string arrival_to_string(const ArrivalSpec& arrival) {
   return "fixed:" + number(arrival.fixed_spacing.to_seconds());
 }
 
+/// "C[:U[:H]]" — concurrent cores, optionally :units and :core-hours.
 common::Status parse_quota(const std::string& text, core::TenantQuota& out) {
   std::string rest = text;
   double parts[3] = {0.0, 0.0, 0.0};
@@ -103,123 +83,6 @@ std::string quota_to_string(const core::TenantQuota& quota) {
          ":" + common::json::number(quota.max_core_hours);
 }
 
-common::Status parse_slo_class(const std::string& text, core::SloClass& out) {
-  if (common::parse_enum(text, core::SloClass::kBatch, out)) return {};
-  return common::Status::error("expected interactive, standard, or batch");
-}
-
-common::Status validate(const RunRequest& req) {
-  if (req.tasks < 1 || req.tasks > 10000000) {
-    return field_error("tasks", "must be in [1, 10000000]");
-  }
-  if (req.trials < 1 || req.trials > 1000000) {
-    return field_error("trials", "must be in [1, 1000000]");
-  }
-  if (req.jobs < 0 || req.jobs > 4096) return field_error("jobs", "must be in [0, 4096]");
-  if (req.deadline_s < 0.0 || req.deadline_s > 24.0 * 3600.0 * 365.0) {
-    return field_error("deadline_s", "must be in [0, 31536000] (0 = no deadline)");
-  }
-  if (req.warmup_hours < 0.0 || req.warmup_hours > 24.0 * 365.0) {
-    return field_error("warmup_hours", "must be in [0, 8760]");
-  }
-  if (req.skeleton_file.empty() && !known_profile(req.profile)) {
-    return field_error("profile", "unknown profile '" + req.profile + "'");
-  }
-
-  const auto& s = req.strategy;
-  if (s.experiment < 0 || s.experiment > 4) {
-    return field_error("strategy.experiment", "must be 0 (custom) or a Table I row 1-4");
-  }
-  if (s.experiment > 0 && !req.skeleton_file.empty()) {
-    return field_error("strategy.experiment",
-                       "a Table I experiment fixes the workload; it cannot combine with "
-                       "skeleton_file");
-  }
-  if (!known_binding(s.binding)) {
-    return field_error("strategy.binding", "expected early or late");
-  }
-  if (!known_scheduler(s.scheduler)) {
-    return field_error("strategy.scheduler",
-                       "expected direct, round-robin, backfill, or empty to derive");
-  }
-  if (s.pilots < 1 || s.pilots > 4096) {
-    return field_error("strategy.pilots", "must be in [1, 4096]");
-  }
-  if (!known_selection(s.selection)) {
-    return field_error("strategy.selection", "expected random or predicted");
-  }
-
-  const auto& c = req.campaign;
-  if (c.tenants != 0 && (c.tenants < 2 || c.tenants > 256)) {
-    return field_error("campaign.tenants", "must be 0 (single application) or in [2, 256]");
-  }
-  if (c.tenants > 0) {
-    if (!req.skeleton_file.empty()) {
-      return field_error("campaign.tenants",
-                         "a campaign builds size-cycled bags; it cannot combine with "
-                         "skeleton_file");
-    }
-    if (req.profile != "bag-uniform" && req.profile != "bag-gaussian") {
-      return field_error("profile",
-                         "a campaign supports the bag-uniform and bag-gaussian profiles");
-    }
-    if (s.experiment > 0) {
-      return field_error("strategy.experiment",
-                         "Table I experiments are single-application; campaigns take the "
-                         "custom strategy fields");
-    }
-  }
-
-  const auto& a = req.admission;
-  if ((a.enabled || a.breaker) && c.tenants == 0) {
-    return field_error("admission.enabled",
-                       "admission and breakers guard campaigns; set campaign.tenants");
-  }
-  if ((a.enabled || a.breaker) && c.mode == CampaignMode::kSequential) {
-    return field_error("campaign.mode",
-                       "sequential campaigns run tenants one at a time through the "
-                       "single-app path, which has no admission controller or site "
-                       "breakers; use shared or private");
-  }
-  core::SloClass slo_class = core::SloClass::kStandard;
-  if (auto st = parse_slo_class(a.slo, slo_class); !st.ok()) {
-    return field_error("admission.slo", st.error());
-  }
-  if (a.max_queue_wait_s < 0.0) {
-    return field_error("admission.max_queue_wait_s", "must be >= 0 (0 keeps the default)");
-  }
-  if (a.breaker_threshold != 0.0 &&
-      (a.breaker_threshold < 0.01 || a.breaker_threshold > 1.0)) {
-    return field_error("admission.breaker_threshold",
-                       "must be in [0.01, 1] (0 keeps the default)");
-  }
-  if (a.breaker_min_events < 0) {
-    return field_error("admission.breaker_min_events", "must be >= 0");
-  }
-  if (a.breaker_cooldown_s < 0.0) {
-    return field_error("admission.breaker_cooldown_s", "must be >= 0");
-  }
-
-  if (req.sharding.shards < 0 || req.sharding.shards > 4096) {
-    return field_error("sharding.shards", "must be in [0, 4096]");
-  }
-  if (req.sharding.grid_sites < 0 || req.sharding.grid_sites > 100000) {
-    return field_error("sharding.grid_sites", "must be in [0, 100000]");
-  }
-  if (req.sharding.shard_workers < 0 || req.sharding.shard_workers > 4096) {
-    return field_error("sharding.shard_workers", "must be in [0, 4096]");
-  }
-  if (req.faults.pilot_failure_rate < 0.0 || req.faults.pilot_failure_rate > 1.0) {
-    return field_error("faults.pilot_failure_rate", "must be in [0, 1]");
-  }
-  if (req.observability.sample_interval_s <= 0.0) {
-    return field_error("observability.sample_interval_s", "must be > 0");
-  }
-  return {};
-}
-
-namespace {
-
 std::string mode_to_string(const CampaignMode& mode) { return std::string(to_string(mode)); }
 common::Status parse_mode(const std::string& text, CampaignMode& out) {
   if (parse_campaign_mode(text, out)) return {};
@@ -237,46 +100,239 @@ common::Status parse_kind(const std::string& text, bool& is_campaign) {
   return {};
 }
 
-/// The RunRequest wire form, listed once: run_request_to_json writes these
-/// fields in this order and parse_run_request accepts exactly these.
+/// The RunRequest fields, each declared once: run_request_to_json writes
+/// them in this order, parse_run_request accepts exactly these, it and
+/// validate() check each value against its range or spellings, and
+/// declare_request_flags makes an option of each flagged one, whose --help
+/// line is `help`, then the spellings and RunRequest{}'s value.
 template <class R, class V>
 void request_fields(R& r, V& v) {
   using common::json::spelled;
-  v("name", r.name);
-  v("user", r.user);
-  v("profile", r.profile);
-  v("skeleton_file", r.skeleton_file);
-  v("testbed_file", r.testbed_file);
-  v("tasks", r.tasks);
-  v("warmup_hours", r.warmup_hours);
-  v("seed", r.seed);
-  v("trials", r.trials);
-  v("jobs", r.jobs);
-  v("deadline_s", r.deadline_s);
-  v("strategy.experiment", r.strategy.experiment);
-  v("strategy.binding", r.strategy.binding);
-  v("strategy.scheduler", r.strategy.scheduler);
-  v("strategy.pilots", r.strategy.pilots);
-  v("strategy.selection", r.strategy.selection);
-  v("campaign.tenants", r.campaign.tenants);
-  v("campaign.arrival", spelled(r.campaign.arrival, arrival_to_string, parse_arrival_spec));
-  v("campaign.mode", spelled(r.campaign.mode, mode_to_string, parse_mode));
-  v("sharding.shards", r.sharding.shards);
-  v("sharding.grid_sites", r.sharding.grid_sites);
-  v("sharding.shard_workers", r.sharding.shard_workers);
-  v("faults.plan_file", r.faults.plan_file);
-  v("faults.pilot_failure_rate", r.faults.pilot_failure_rate);
-  v("admission.enabled", r.admission.enabled);
-  v("admission.quota", spelled(r.admission.quota, quota_to_string, parse_quota));
-  v("admission.slo", r.admission.slo);
-  v("admission.max_queue_wait_s", r.admission.max_queue_wait_s);
-  v("admission.breaker", r.admission.breaker);
-  v("admission.breaker_threshold", r.admission.breaker_threshold);
-  v("admission.breaker_min_events", r.admission.breaker_min_events);
-  v("admission.breaker_cooldown_s", r.admission.breaker_cooldown_s);
-  v("observability.enabled", r.observability.enabled);
-  v("observability.sample_interval_s", r.observability.sample_interval_s);
-  v("observability.artifacts", r.observability.artifacts);
+  v(r.name, {.key = "name", .flag = "--name", .metavar = "NAME",
+             .help = "label for the run in list/view output", .fronts = kAimescSubmit});
+  v(r.user, {.key = "user", .flag = "--user", .metavar = "NAME",
+             .help = "owner recorded with the run", .fronts = kAimescSubmit});
+  v(r.profile, {.key = "profile", .flag = "--profile", .metavar = "NAME",
+                .help = "built-in profile when no --skeleton is given:",
+                .one_of = "bag-uniform|bag-gaussian|montage|blast|cybershake|mapreduce"});
+  v(r.skeleton_file, {.key = "skeleton_file", .flag = "--skeleton", .metavar = "FILE",
+                      .help = "skeleton application config file"});
+  v(r.testbed_file, {.key = "testbed_file", .flag = "--testbed", .metavar = "FILE",
+                     .help = "resource pool config (default: paper's 5 sites)"});
+  v(r.tasks, {.key = "tasks", .flag = "--tasks", .metavar = "N",
+              .help = "application size for built-in profiles", .min = 1, .max = 1e7});
+  v(r.warmup_hours, {.key = "warmup_hours", .flag = "--warmup", .metavar = "H",
+                     .help = "background warmup hours", .min = 0, .max = 24 * 365});
+  v(r.seed, {.key = "seed", .flag = "--seed", .metavar = "S", .help = "world/application seed"});
+  v(r.trials, {.key = "trials", .flag = "--trials", .metavar = "N",
+               .help = "sweep mode: run N replicas seeded S+1..S+N and\n"
+                       "aggregate TTC (1 = single run)",
+               .min = 1, .max = 1e6});
+  v(r.jobs, {.key = "jobs", .flag = "--jobs", .metavar = "M",
+             .help = "sweep worker threads (0 = hardware concurrency);\n"
+                     "aggregates are bit-identical for every M",
+             .min = 0, .max = 4096});
+  v(r.deadline_s, {.key = "deadline_s", .flag = "--deadline", .metavar = "S",
+                   .help = "daemon submissions: fail or cut the run S wall\n"
+                           "seconds after submit (0 = none; local runs ignore it)",
+                   .min = 0.1, .max = 365 * 24 * 3600, .zero_ok = true});
+  v(r.strategy.experiment,
+    {.key = "strategy.experiment", .flag = "--experiment", .metavar = "N",
+     .help = "run a Table I experiment row (0 = custom); overrides\n"
+             "--profile, --binding, --pilots, and --selection",
+     .min = 1, .max = 4, .zero_ok = true});
+  v(r.strategy.binding,
+    {.key = "strategy.binding", .flag = "--binding", .metavar = "B", .one_of = "early|late"});
+  v(r.strategy.scheduler,
+    {.key = "strategy.scheduler", .flag = "--scheduler", .metavar = "K",
+     .help = "unit scheduler; empty derives it from --binding:", .zero_ok = true,
+     .one_of = "direct|round-robin|backfill"});
+  v(r.strategy.pilots, {.key = "strategy.pilots", .flag = "--pilots", .metavar = "N",
+                        .help = "number of pilots", .min = 1, .max = 4096});
+  v(r.strategy.selection, {.key = "strategy.selection", .flag = "--selection", .metavar = "S",
+                           .one_of = "random|predicted"});
+  v(r.campaign.tenants,
+    {.key = "campaign.tenants", .flag = "--campaign", .metavar = "N",
+     .help = "campaign of N tenants (0 = one application), sized\n"
+             "--tasks x {1,2,4} in turn; see --campaign-mode",
+     .min = 2, .max = 256, .zero_ok = true});
+  v(spelled(r.campaign.arrival, arrival_to_string, parse_arrival_spec),
+    {.key = "campaign.arrival", .flag = "--arrival", .metavar = "SPEC",
+     .help = "campaign arrival process: poisson:RATE (tenants\n"
+             "per hour) or fixed:SECONDS"});
+  v(spelled(r.campaign.mode, mode_to_string, parse_mode),
+    {.key = "campaign.mode", .flag = "--campaign-mode", .metavar = "M",
+     .help = "shared|private|sequential"});
+  v(r.sharding.shards,
+    {.key = "sharding.shards", .flag = "--shards", .metavar = "N",
+     .help = "intra-trial shards: N engines in conservative lock-\n"
+             "step windows (0 = classic single-engine drive);\n"
+             "results are bit-identical for every N >= 1",
+     .min = 0, .max = 4096});
+  v(r.sharding.grid_sites,
+    {.key = "sharding.grid_sites", .flag = "--grid-sites", .metavar = "N",
+     .help = "ambient background sites spread across the shards;\n"
+             "the load --shards parallelizes",
+     .min = 0, .max = 1e5});
+  v(r.sharding.shard_workers,
+    {.key = "sharding.shard_workers", .flag = "--shard-workers", .metavar = "W",
+     .help = "threads per sharded trial (0 = min(shards, cores));\n"
+             "wall clock only. Keep at 1 when sweeping --jobs",
+     .min = 0, .max = 4096});
+  v(r.faults.plan_file, {.key = "faults.plan_file", .flag = "--fault-plan", .metavar = "FILE",
+                         .help = "fault-injection plan config ([fault.*] sections);\n"
+                                 "enables Execution-Manager recovery"});
+  v(r.faults.pilot_failure_rate,
+    {.key = "faults.pilot_failure_rate", .flag = "--pilot-failure-rate", .metavar = "P",
+     .help = "probability each pilot submission is rejected", .min = 0, .max = 1});
+  v(r.admission.enabled, {.key = "admission.enabled", .flag = "--admission",
+                          .help = "campaign: arm the SLO-aware admission ladder\n"
+                                  "(admit -> queue -> degrade -> shed)"});
+  v(spelled(r.admission.quota, quota_to_string, parse_quota),
+    {.key = "admission.quota", .flag = "--quota", .metavar = "C[:U[:H]]",
+     .help = "campaign: per-tenant cores[:units[:core-hours]]\n"
+             "quota (0 = unlimited); implies --admission"});
+  v(r.admission.slo, {.key = "admission.slo", .flag = "--slo", .metavar = "CLASS",
+                      .help = "campaign: tenant SLO class, implies --admission:",
+                      .one_of = "interactive|standard|batch"});
+  v(r.admission.max_queue_wait_s,
+    {.key = "admission.max_queue_wait_s", .flag = "--max-queue-wait", .metavar = "S",
+     .help = "campaign: admission queue wait bound in seconds\n"
+             "(0 keeps the policy's); implies --admission",
+     .min = 1, .max = 1e9, .zero_ok = true});
+  v(r.admission.breaker, {.key = "admission.breaker"});
+  v(r.admission.breaker_threshold,
+    {.key = "admission.breaker_threshold", .flag = "--breaker-threshold", .metavar = "X",
+     .help = "campaign: EWMA failure score that trips a site's\n"
+             "breaker (0 keeps the policy's); arms the breakers",
+     .min = 0.01, .max = 1, .zero_ok = true});
+  v(r.admission.breaker_min_events,
+    {.key = "admission.breaker_min_events", .flag = "--breaker-min-events", .metavar = "N",
+     .help = "campaign: events recorded at a site before its\n"
+             "breaker may trip (0 keeps the policy's)",
+     .min = 1, .max = 1e6, .zero_ok = true});
+  v(r.admission.breaker_cooldown_s,
+    {.key = "admission.breaker_cooldown_s", .flag = "--breaker-cooldown", .metavar = "S",
+     .help = "campaign: seconds an open breaker blocks a site\n"
+             "before the half-open probe (0 keeps the policy's)",
+     .min = 1, .max = 1e9, .zero_ok = true});
+  v(r.observability.enabled, {.key = "observability.enabled"});
+  v(r.observability.sample_interval_s,
+    {.key = "observability.sample_interval_s", .flag = "--sample-interval", .metavar = "S",
+     .help = "metrics sampling interval in virtual seconds", .min = 0.001, .max = 1e6,
+     .fronts = kAimesRun});
+  v(r.observability.artifacts, {.key = "observability.artifacts"});
+}
+
+template <class T>
+inline constexpr bool kSpelled = false;
+template <class T, class U>
+inline constexpr bool kSpelled<common::json::Spelled<T, U>> = true;
+
+std::string bound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  return buf;
+}
+
+/// Whether field `f` accepts `v`: a number in its range, a string among its
+/// spellings. Bools always pass; spelled members are checked by their own
+/// parsers.
+template <class T>
+common::Status check(const RequestField& f, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    bool known = f.one_of.empty() || (f.zero_ok && v.empty());
+    for (std::size_t pos = 0; !known && pos <= f.one_of.size();) {
+      const std::size_t bar = std::min(f.one_of.find('|', pos), f.one_of.size());
+      known = f.one_of.substr(pos, bar - pos) == v;
+      pos = bar + 1;
+    }
+    if (known) return {};
+    return common::Status::error("expected one of " + std::string(f.one_of) +
+                                 (f.zero_ok ? ", or empty" : ""));
+  } else if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+    const auto x = static_cast<double>(v);
+    if ((f.zero_ok && x == 0.0) || (x >= f.min && x <= f.max)) return {};
+    return common::Status::error(std::string("must be ") + (f.zero_ok ? "0 or " : "") + "in [" +
+                                 bound(f.min) + ", " + bound(f.max) + "]");
+  } else {
+    return {};
+  }
+}
+
+/// A CLI value for a string or number field, checked as a JSON one is.
+template <class T>
+common::Status assign(const RequestField& f, const std::string& text, T& out) {
+  T value{};
+  if constexpr (std::is_same_v<T, std::string>) {
+    value = text;
+  } else {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) {
+      return common::Status::error("invalid value '" + text + "' (expected " +
+                                   (std::is_integral_v<T> ? "an integer)" : "a number)"));
+    }
+  }
+  if (auto st = check(f, value); !st.ok()) {
+    return common::Status::error("invalid value '" + text + "': " + st.error());
+  }
+  out = std::move(value);
+  return {};
+}
+
+/// A member's value as --help shows a default: empty for bools and unset
+/// strings.
+template <class M>
+std::string shown(const M& m) {
+  if constexpr (kSpelled<M>) {
+    return m.print(m.value);
+  } else if constexpr (std::is_same_v<M, std::string>) {
+    return m;
+  } else if constexpr (std::is_same_v<M, bool>) {
+    return "";
+  } else {
+    return common::json::number(static_cast<double>(m));
+  }
+}
+
+/// The rules that span fields; each field's own values are the table's.
+common::Status check_rules(const RunRequest& req) {
+  const auto& s = req.strategy;
+  if (s.experiment > 0 && !req.skeleton_file.empty()) {
+    return field_error("strategy.experiment",
+                       "a Table I experiment fixes the workload; it cannot combine with "
+                       "skeleton_file");
+  }
+  const auto& c = req.campaign;
+  if (c.tenants > 0) {
+    if (!req.skeleton_file.empty()) {
+      return field_error("campaign.tenants",
+                         "a campaign builds size-cycled bags; it cannot combine with "
+                         "skeleton_file");
+    }
+    if (req.profile != "bag-uniform" && req.profile != "bag-gaussian") {
+      return field_error("profile",
+                         "a campaign supports the bag-uniform and bag-gaussian profiles");
+    }
+    if (s.experiment > 0) {
+      return field_error("strategy.experiment",
+                         "Table I experiments are single-application; campaigns take the "
+                         "custom strategy fields");
+    }
+  }
+  const auto& a = req.admission;
+  if ((a.enabled || a.breaker) && c.tenants == 0) {
+    return field_error("admission.enabled",
+                       "admission and breakers guard campaigns; set campaign.tenants");
+  }
+  if ((a.enabled || a.breaker) && c.mode == CampaignMode::kSequential) {
+    return field_error("campaign.mode",
+                       "sequential campaigns run tenants one at a time through the "
+                       "single-app path, which has no admission controller or site "
+                       "breakers; use shared or private");
+  }
+  return {};
 }
 
 /// The RunProgress wire form, listed once.
@@ -332,9 +388,68 @@ common::Expected<T> parse_text(const std::string& origin, const std::string& tex
 
 }  // namespace
 
+std::string RunRequest::display_name() const {
+  if (!name.empty()) return name;
+  std::string base = skeleton_file.empty() ? profile : skeleton_file;
+  if (is_campaign()) {
+    return "campaign-" + std::to_string(campaign.tenants) + "x" + base + "-" +
+           std::to_string(tasks);
+  }
+  if (strategy.experiment > 0) base = "exp" + std::to_string(strategy.experiment);
+  return base + "-" + std::to_string(tasks);
+}
+
+common::Status validate(const RunRequest& req) {
+  common::Status status;
+  auto check_field = [&status](const auto& m, const RequestField& f) {
+    auto st = check(f, m);
+    if (status.ok() && !st.ok()) status = field_error(std::string(f.key), st.error());
+  };
+  request_fields(req, check_field);
+  return status.ok() ? check_rules(req) : status;
+}
+
+std::vector<RequestField> request_field_table() {
+  std::vector<RequestField> table;
+  const RunRequest req;
+  auto add = [&table](const auto&, const RequestField& f) { table.push_back(f); };
+  request_fields(req, add);
+  return table;
+}
+
+void declare_request_flags(common::cli::Parser& cli, RunRequest& req, RequestFront front) {
+  std::vector<std::string> defaults;
+  const RunRequest fresh;
+  auto collect = [&defaults](const auto& m, const RequestField&) { defaults.push_back(shown(m)); };
+  request_fields(fresh, collect);
+  std::size_t next = 0;
+  auto declare = [&](auto&& m, const RequestField& f) {
+    using T = std::remove_cvref_t<decltype(m)>;
+    const std::string& default_text = defaults[next++];
+    if (f.flag.empty() || (f.fronts & front) == 0) return;
+    std::string help(f.help);
+    if (!f.one_of.empty()) help += (help.empty() ? "" : "\n") + std::string(f.one_of);
+    if (!default_text.empty()) help += " (default " + default_text + ")";
+    const std::string flag(f.flag);
+    const std::string metavar(f.metavar);
+    if constexpr (std::is_same_v<T, bool>) {
+      cli.flag(flag, m, help);
+    } else if constexpr (kSpelled<T>) {
+      cli.custom_option(flag, metavar, help,
+                        [m](const std::string& text) { return m.parse(text, m.value); });
+    } else {
+      cli.custom_option(flag, metavar, help, [f, target = &m](const std::string& text) {
+        return assign(f, text, *target);
+      });
+    }
+  };
+  request_fields(req, declare);
+}
+
 std::string run_request_to_json(const RunRequest& req) {
   common::json::Writer out(/*pretty=*/true);
-  request_fields(req, out);
+  auto emit = [&out](const auto& m, const RequestField& f) { out(f.key, m); };
+  request_fields(req, emit);
   return out.finish() + "\n";
 }
 
@@ -342,9 +457,17 @@ common::Expected<RunRequest> parse_run_request(const common::json::Node& doc) {
   using E = common::Expected<RunRequest>;
   RunRequest req;
   common::json::Reader in(doc);
-  request_fields(req, in);
+  // Each value is checked as it is read, so a rejection carries its offset.
+  auto read = [&in](auto&& m, const RequestField& f) {
+    if constexpr (kSpelled<std::remove_cvref_t<decltype(m)>>) {
+      in(f.key, std::forward<decltype(m)>(m));
+    } else {
+      in(f.key, m, [&f](const auto& v) { return check(f, v); });
+    }
+  };
+  request_fields(req, read);
   if (auto st = in.finish(); !st.ok()) return E::error(st.error());
-  if (auto st = validate(req); !st.ok()) return E::error(st.error());
+  if (auto st = check_rules(req); !st.ok()) return E::error(st.error());
   return req;
 }
 
@@ -424,7 +547,7 @@ common::Expected<ResolvedRun> resolve(const RunRequest& req) {
     }
     if (req.admission.enabled) {
       core::SloClass slo = core::SloClass::kStandard;
-      (void)parse_slo_class(req.admission.slo, slo);  // validated above
+      (void)common::parse_enum(req.admission.slo, core::SloClass::kBatch, slo);  // validated
       spec.admission.slos = {slo};
       spec.admission.quotas = {req.admission.quota};
     }

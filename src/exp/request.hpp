@@ -10,38 +10,45 @@
 // via `aimesc` is bit-identical (FNV-1a checksum) to the same cell run via
 // `aimes-run` — the daemon-vs-CLI parity the control-plane tests assert.
 //
-// The JSON forms of RunRequest, RunProgress and RunResult are each listed
-// once, as a field table in request.cpp that drives both the emitter and the
-// parser (common/json.hpp). Parsing is strict: an unknown key, a wrong JSON
-// type, or a fractional or out-of-range number for an integer field fails
-// with origin + dotted field path + byte offset, so a 400 from the daemon
-// names exactly what to fix. validate() alone judges value ranges and
-// cross-field rules.
+// Each RunRequest field is declared once, in the field table of request.cpp
+// (JSON key, CLI flag, accepted range or spellings, help text), which drives
+// the JSON emitter and parser (common/fields.hpp), the CLI options and their
+// --help, and validate(); RunProgress and RunResult have tables of their
+// own. Parsing is strict: an unknown key, a wrong type, or a value the field
+// does not accept fails with origin + dotted field path + byte offset, so a
+// 400 from the daemon names exactly what to fix.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/json.hpp"
 
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
 
+namespace aimes::common::cli {
+class Parser;
+}
+
 namespace aimes::exp {
 
 /// Planning strategy: either one of Table I's four experiment rows, or the
 /// custom fields. Enum-valued knobs stay strings here (the wire/CLI form);
-/// validate() rejects unknown spellings with the field named.
+/// the field table lists their spellings.
 struct StrategyRequest {
   /// Table I row (1-4): binding/scheduler/pilots/durations come from the
   /// paper matrix and the custom fields below are ignored. 0 = custom.
   int experiment = 0;
-  std::string binding = "late";  ///< "early" | "late"
-  /// "direct" | "round-robin" | "backfill"; empty derives from binding
-  /// (early -> direct, late -> backfill, the Table I pairings).
+  std::string binding = "late";
+  /// Empty derives it from binding (early -> direct, late -> backfill, the
+  /// Table I pairings).
   std::string scheduler;
   int pilots = 3;
-  std::string selection = "predicted";  ///< "random" | "predicted"
+  std::string selection = "predicted";
 };
 
 /// Multi-tenant campaign shape; tenants == 0 = single-application request.
@@ -63,11 +70,11 @@ struct FaultRequest {
 };
 
 /// Admission ladder + site breakers (campaign only). Zero-valued knobs keep
-/// the policy defaults, mirroring the CLI flags.
+/// the policy defaults.
 struct AdmissionRequest {
   bool enabled = false;
   core::TenantQuota quota;
-  std::string slo = "standard";  ///< "interactive" | "standard" | "batch"
+  std::string slo = "standard";
   double max_queue_wait_s = 0.0;
   bool breaker = false;
   double breaker_threshold = 0.0;
@@ -89,8 +96,7 @@ struct RunRequest {
   std::string name;
   /// Submitting tenant; the daemon fills its default for anonymous clients.
   std::string user;
-  /// Built-in workload when no skeleton file is given: bag-uniform |
-  /// bag-gaussian | montage | blast | cybershake | mapreduce.
+  /// Built-in workload when no skeleton file is given.
   std::string profile = "bag-gaussian";
   /// Skeleton application config file (single-app only; overrides profile).
   std::string skeleton_file;
@@ -121,25 +127,42 @@ struct RunRequest {
   [[nodiscard]] std::string display_name() const;
 };
 
-// --- shared spelling parsers (CLI flags and JSON fields use the same) -----
-
-/// "poisson:RATE" (tenants/hour) or "fixed:SECONDS".
-[[nodiscard]] common::Status parse_arrival_spec(const std::string& text, ArrivalSpec& out);
-[[nodiscard]] std::string arrival_to_string(const ArrivalSpec& arrival);
-/// "C[:U[:H]]" — concurrent cores, optionally :units and :core-hours.
-[[nodiscard]] common::Status parse_quota(const std::string& text, core::TenantQuota& out);
-[[nodiscard]] std::string quota_to_string(const core::TenantQuota& quota);
-[[nodiscard]] common::Status parse_slo_class(const std::string& text, core::SloClass& out);
-
-/// Structural + semantic validation; the first violation comes back as a
-/// Status naming the field path ("field 'campaign.tenants': ...").
+/// Structural + semantic validation: each field's range or spellings from
+/// the field table, then the cross-field rules. The first violation comes
+/// back as a Status naming the field path ("field 'campaign.tenants': ...").
 [[nodiscard]] common::Status validate(const RunRequest& req);
+
+/// The command lines that take request flags, as bits.
+enum RequestFront : unsigned { kAimesRun = 1, kAimescSubmit = 2 };
+
+/// One entry of the RunRequest field table (request.cpp).
+struct RequestField {
+  std::string_view key = {};      ///< dotted JSON path, e.g. "strategy.pilots"
+  std::string_view flag = {};     ///< CLI flag; empty = JSON only
+  std::string_view metavar = {};  ///< the flag's value in --help
+  std::string_view help = {};     ///< --help text, before the spellings and default
+  double min = -std::numeric_limits<double>::infinity();  ///< numbers: inclusive range
+  double max = std::numeric_limits<double>::infinity();
+  /// Also accept 0 (numbers) or "" (strings): "unset" / "keep the default".
+  bool zero_ok = false;
+  std::string_view one_of = {};  ///< strings: '|'-separated spellings; empty = any
+  unsigned fronts = kAimesRun | kAimescSubmit;  ///< which command lines get the flag
+};
+
+/// The field table in wire order.
+[[nodiscard]] std::vector<RequestField> request_field_table();
+
+/// Declares on `cli` one option per table field flagged for `front`, each
+/// writing into `req` (which must outlive the parse) with the same range
+/// check the JSON reader applies. --help shows RunRequest{}'s value of each
+/// field as its default.
+void declare_request_flags(common::cli::Parser& cli, RunRequest& req, RequestFront front);
 
 /// Round-trippable JSON form (the `aimesc submit` / POST /api/v1/runs body).
 [[nodiscard]] std::string run_request_to_json(const RunRequest& req);
-/// Parses the JSON form. Absent fields keep their defaults; unknown, mistyped
-/// or malformed ones fail with origin + dotted field path + byte offset. The
-/// parsed request is then validate()d.
+/// Parses the JSON form. Absent fields keep their defaults; unknown, mistyped,
+/// malformed or out-of-range ones fail with origin + dotted field path + byte
+/// offset. The parsed request then passes validate()'s cross-field rules.
 [[nodiscard]] common::Expected<RunRequest> parse_run_request(const std::string& origin,
                                                              const std::string& text);
 /// The same, for a request embedded in a larger document (a journal line).

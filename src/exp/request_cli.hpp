@@ -1,8 +1,9 @@
 // CLI flag surface of exp::RunRequest — one registration shared by every
 // front end that accepts the run flags (`aimes-run`, `aimesc submit`), so
-// `--pilots` cannot mean one thing on the CLI and another over HTTP. Every
-// spelling, bound, and help string is the historical aimes-run one; the
-// request tests assert flag-built and JSON-built requests coincide.
+// `--pilots` cannot mean one thing on the CLI and another over HTTP. The
+// flags themselves come from the request field table (request.cpp); this
+// layer adds `--quick`, the declared conflicts and requirements between
+// flags, and the post-parse fixups that depend on which flags were seen.
 #pragma once
 
 #include "common/cli.hpp"
@@ -10,11 +11,12 @@
 
 namespace aimes::exp {
 
-/// Registers the shared run flags on `cli`, writing into `req` (and the
+/// Registers the run flags of `front` on `cli`, writing into `req` (and the
 /// `--quick` flag into `quick`). The caller adds its own front-end-specific
 /// flags (presentation, daemon address, ...) on the same parser; `req` and
 /// `quick` must outlive the parse.
-void declare_request_options(common::cli::Parser& cli, RunRequest& req, bool& quick);
+void declare_request_options(common::cli::Parser& cli, RunRequest& req, bool& quick,
+                             RequestFront front = kAimesRun);
 
 /// Post-parse fixups that depend on which flags were *seen*: `--quick`
 /// defaults (16 tasks, 2 pilots, 1 h warmup unless overridden), the

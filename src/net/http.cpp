@@ -724,40 +724,32 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
   if (!opened) return E::error(opened.error());
   const int fd = *opened;
   const std::string host = endpoint.is_unix() ? "localhost" : endpoint.describe();
-  if (!send_all(fd, render_http_request(request, host))) {
-    ::close(fd);
-    return E::error("send failed");
-  }
+  const bool sent = send_all(fd, render_http_request(request, host));
   ::shutdown(fd, SHUT_WR);
 
   // Read the header block, then hand the rest to the chunk decoder as it
-  // arrives — the whole point over http_call is not waiting for EOF.
+  // arrives — the whole point over http_call is not waiting for EOF. As in
+  // http_call, a failed send still reads: a server that refuses early (413)
+  // answers before the upload is done.
   std::string buf;
   char chunk[4096];
   std::size_t head_end = std::string::npos;
+  const auto fail = [&](const std::string& what) {
+    ::close(fd);
+    return E::error(!sent && buf.empty() ? "send failed" : what);
+  };
   while (head_end == std::string::npos) {
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, idle_timeout_ms);
-    if (ready <= 0) {
-      ::close(fd);
-      return E::error("stream idle timeout waiting for headers");
-    }
+    if (ready <= 0) return fail("stream idle timeout waiting for headers");
     const ssize_t n = net_recv(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return E::error(std::string("recv: ") + err);
+      return fail(std::string("recv: ") + std::strerror(errno));
     }
-    if (n == 0) {
-      ::close(fd);
-      return E::error("connection closed before headers completed");
-    }
+    if (n == 0) return fail("connection closed before headers completed");
     buf.append(chunk, static_cast<std::size_t>(n));
-    if (buf.size() > kMaxMessageBytes) {
-      ::close(fd);
-      return E::error("oversized header block");
-    }
+    if (buf.size() > kMaxMessageBytes) return fail("oversized header block");
     head_end = buf.find("\r\n\r\n");
   }
 
@@ -767,15 +759,11 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
     std::string ignored_body;
     auto start = parse_message(buf.substr(0, head_end + 4), res.headers, ignored_body,
                                /*head_only=*/true);
-    if (!start) {
-      ::close(fd);
-      return E::error(start.error());
-    }
+    if (!start) return fail(start.error());
     std::istringstream parts(*start);
     std::string version;
     if (!(parts >> version >> res.status) || version.rfind("HTTP/", 0) != 0) {
-      ::close(fd);
-      return E::error("malformed status line '" + *start + "'");
+      return fail("malformed status line '" + *start + "'");
     }
   }
   const auto ct = res.headers.find("content-type");
@@ -813,37 +801,20 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
     decoded.clear();
     return keep_going;
   };
-  if (auto st = decoder.feed(rest, decoded); !st.ok()) {
-    ::close(fd);
-    return E::error(st.error());
-  }
-  if (!deliver()) {
-    ::close(fd);
-    return res;
-  }
-  while (!decoder.done()) {
+  if (auto st = decoder.feed(rest, decoded); !st.ok()) return fail(st.error());
+  for (bool more = deliver(); more && !decoder.done(); more = deliver()) {
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, idle_timeout_ms);
-    if (ready <= 0) {
-      ::close(fd);
-      return E::error("stream idle timeout");
-    }
+    if (ready <= 0) return fail("stream idle timeout");
     const ssize_t n = net_recv(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return E::error(std::string("recv: ") + err);
+      return fail(std::string("recv: ") + std::strerror(errno));
     }
-    if (n == 0) {
-      ::close(fd);
-      return E::error("connection closed mid-stream");
-    }
+    if (n == 0) return fail("connection closed mid-stream");
     if (auto st = decoder.feed({chunk, static_cast<std::size_t>(n)}, decoded); !st.ok()) {
-      ::close(fd);
-      return E::error(st.error());
+      return fail(st.error());
     }
-    if (!deliver()) break;
   }
   ::close(fd);
   return res;

@@ -22,6 +22,10 @@ struct StormCase {
   double preemption_mean_h;  // 0 = off
 };
 
+// Without it gtest prints the case's raw bytes (pointers that move under
+// ASLR) into the ctest name, which then differs on every build.
+void PrintTo(const StormCase& c, std::ostream* os) { *os << c.name; }
+
 class SiteStorm : public ::testing::TestWithParam<StormCase> {};
 
 TEST_P(SiteStorm, ConservationUnderRandomStorm) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hpp"
 #include "ctl/daemon.hpp"
 #include "ctl/registry.hpp"
 
@@ -649,6 +650,22 @@ TEST(DaemonRoutes, MalformedSubmitGets400WithFieldAndOffset) {
   const auto invalid = daemon.handle(http("POST", "/api/v1/runs", "{\"tasks\": 0}"));
   EXPECT_EQ(invalid.status, 400);
   EXPECT_NE(invalid.body.find("tasks"), std::string::npos) << invalid.body;
+}
+
+TEST(DaemonRoutes, OverflowingDurationGets400NamingTheField) {
+  // 1e300 s once became a cooldown of INT64_MIN ms (float-to-int overflow).
+  auto daemon = stub_daemon();
+  const auto refused = daemon.handle(
+      http("POST", "/api/v1/runs",
+           "{\"admission\": {\"breaker_cooldown_s\": 1e300}, \"campaign\": {\"tenants\": 2}, "
+           "\"profile\": \"bag-uniform\"}"));
+  EXPECT_EQ(refused.status, 400) << refused.body;
+  auto body = common::json::Node::parse("400 body", refused.body);
+  ASSERT_TRUE(body.ok()) << body.error();
+  auto error = body->get("error").text();
+  ASSERT_TRUE(error.ok()) << error.error();
+  EXPECT_NE(error->find("field 'admission.breaker_cooldown_s' at byte 37"), std::string::npos)
+      << *error;
 }
 
 TEST(DaemonRoutes, ListFiltersByUser) {

@@ -9,6 +9,10 @@
 //      daemon submission reproduces a CLI run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,6 +147,19 @@ TEST(RunRequestJson, LenientBodiesOfTheOldReaderAreTypedErrors) {
        "field 'admission.quota' at byte 24: invalid value '3e9'"},
       {"{\"admission\": {\"quota\": \"2.5:1\"}}",
        "field 'admission.quota' at byte 24: expected whole cores and units"},
+      // Once accepted by the JSON form although the CLI refused them: the
+      // first two overflowed SimDuration::seconds, the next two turned
+      // sampling off.
+      {"{\"admission\": {\"max_queue_wait_s\": 1e300}}",
+       "field 'admission.max_queue_wait_s' at byte 35: must be 0 or in [1, 1000000000]"},
+      {"{\"admission\": {\"breaker_cooldown_s\": 1e300}}",
+       "field 'admission.breaker_cooldown_s' at byte 37: must be 0 or in [1, 1000000000]"},
+      {"{\"observability\": {\"sample_interval_s\": 1e-9}}",
+       "field 'observability.sample_interval_s' at byte 40: must be in [0.001, 1000000]"},
+      {"{\"observability\": {\"sample_interval_s\": 1e300}}",
+       "field 'observability.sample_interval_s' at byte 40: must be in [0.001, 1000000]"},
+      {"{\"admission\": {\"breaker_min_events\": 2000000000}}",
+       "field 'admission.breaker_min_events' at byte 37: must be 0 or in [1, 1000000]"},
   };
   for (const auto& c : cases) {
     auto parsed = exp::parse_run_request("request body", c.body);
@@ -262,6 +279,130 @@ TEST(RunRequestCli, QuickAppliesDefaultsUnlessOverridden) {
   EXPECT_EQ(req.tasks, 8);          // explicit flag wins over --quick
   EXPECT_EQ(req.strategy.pilots, 2);
   EXPECT_DOUBLE_EQ(req.warmup_hours, 1.0);
+}
+
+// --- the field table drives both front ends --------------------------------
+
+/// A body that sets the dotted `key` to the JSON literal `value`.
+std::string body_setting(std::string_view key, const std::string& value) {
+  const auto dot = key.find('.');
+  const std::string leaf = "\"" + std::string(key.substr(dot + 1)) + "\": " + value;
+  if (dot == std::string_view::npos) return "{" + leaf + "}";
+  return "{\"" + std::string(key.substr(0, dot)) + "\": {" + leaf + "}}";
+}
+
+/// `flag value` through the request flags of `front`, into a fresh request.
+common::Expected<exp::RunRequest> parse_flag(std::string_view flag, const std::string& value,
+                                             exp::RequestFront front = exp::kAimesRun) {
+  exp::RunRequest req;
+  common::cli::Parser cli("test");
+  exp::declare_request_flags(cli, req, front);
+  const std::string name(flag);
+  std::vector<const char*> argv = {"test", name.c_str(), value.c_str()};
+  auto parsed = cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+  if (!parsed) return common::Expected<exp::RunRequest>::error(parsed.error());
+  return req;
+}
+
+std::string literal(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+TEST(RunRequestFieldTable, EveryFlaggedRangeIsTheSameForJsonAndCli) {
+  int checked = 0;
+  for (const exp::RequestField& f : exp::request_field_table()) {
+    if (f.flag.empty()) continue;
+    const auto front = (f.fronts & exp::kAimesRun) != 0 ? exp::kAimesRun : exp::kAimescSubmit;
+    std::vector<std::string> inside;  // as typed on the command line
+    std::vector<std::string> outside;
+    const bool text = !f.one_of.empty();
+    if (std::isfinite(f.min)) {
+      // Just past each end, and one further (an integer field rejects the
+      // fraction as a type error, the whole step as a range error).
+      const auto tiny = [](double bound) { return std::max(std::abs(bound), 1.0) * 1e-9; };
+      for (const double v : {f.min - tiny(f.min), f.min - 1, f.max + tiny(f.max), f.max + 1}) {
+        if (!(f.zero_ok && v == 0)) outside.push_back(literal(v));
+      }
+      inside = {literal(f.min), literal(f.max)};
+      if (f.zero_ok) inside.push_back("0");
+    } else if (text) {
+      outside = {"bogus", "early|late"};
+      std::string_view rest = f.one_of;
+      for (auto bar = rest.find('|');; bar = rest.find('|')) {
+        inside.emplace_back(rest.substr(0, bar));
+        if (bar == std::string_view::npos) break;
+        rest.remove_prefix(bar + 1);
+      }
+      if (f.zero_ok) inside.emplace_back();
+    } else {
+      continue;
+    }
+    const auto body = [&](const std::string& v) {
+      return body_setting(f.key, text ? "\"" + v + "\"" : v);
+    };
+    for (const std::string& v : outside) {
+      auto json = exp::parse_run_request("request body", body(v));
+      ASSERT_FALSE(json.ok()) << body(v);
+      EXPECT_NE(json.error().find("field '" + std::string(f.key) + "' at byte"),
+                std::string::npos)
+          << json.error();
+      auto cli = parse_flag(f.flag, v, front);
+      ASSERT_FALSE(cli.ok()) << f.flag << " " << v;
+      EXPECT_NE(cli.error().find(std::string(f.flag)), std::string::npos) << cli.error();
+    }
+    for (const std::string& v : inside) {
+      auto json = exp::parse_run_request("request body", body(v));
+      ASSERT_TRUE(json.ok()) << body(v) << ": " << json.error();
+      auto cli = parse_flag(f.flag, v, front);
+      ASSERT_TRUE(cli.ok()) << f.flag << " " << v << ": " << cli.error();
+      EXPECT_EQ(exp::run_request_to_json(*cli), exp::run_request_to_json(*json)) << body(v);
+      EXPECT_TRUE(exp::validate(*cli).ok()) << f.flag << " " << v;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 22);  // 17 ranged numbers, 5 spelled strings
+}
+
+/// The flag names an installed binary's --help lists, sorted.
+std::vector<std::string> help_flags(const std::string& command) {
+  std::vector<std::string> flags;
+  std::unique_ptr<FILE, int (*)(FILE*)> pipe(popen(command.c_str(), "r"), pclose);
+  if (!pipe) return flags;
+  char line[512];
+  while (std::fgets(line, sizeof line, pipe.get()) != nullptr) {
+    const std::string text = line;
+    if (text.rfind("  --", 0) != 0) continue;
+    flags.push_back(text.substr(2, text.find_first_of(" \n", 2) - 2));
+  }
+  std::sort(flags.begin(), flags.end());
+  return flags;
+}
+
+TEST(RunRequestFieldTable, HelpListsTheSameFlagsAsBefore) {
+  // The flag sets of the hand-declared options the table replaced.
+  const std::vector<std::string> request_flags = {
+      "--admission",   "--arrival",          "--binding",           "--breaker-cooldown",
+      "--breaker-min-events", "--breaker-threshold", "--campaign", "--campaign-mode",
+      "--deadline",    "--experiment",       "--fault-plan",        "--grid-sites",
+      "--jobs",        "--max-queue-wait",   "--pilot-failure-rate", "--pilots",
+      "--profile",     "--quick",            "--quota",             "--scheduler",
+      "--seed",        "--selection",        "--shard-workers",     "--shards",
+      "--skeleton",    "--slo",              "--tasks",             "--testbed",
+      "--trials",      "--warmup"};
+  auto run = request_flags;
+  run.insert(run.end(), {"--adaptive", "--emit", "--emit-out", "--metrics-out", "--report",
+                         "--sample-interval", "--timeline", "--trace", "--trace-out",
+                         "--verbose"});
+  auto submit = request_flags;
+  submit.insert(submit.end(),
+                {"--idempotency-key", "--name", "--port", "--retries", "--socket", "--user",
+                 "--wait"});
+  std::sort(run.begin(), run.end());
+  std::sort(submit.begin(), submit.end());
+  EXPECT_EQ(help_flags(std::string(AIMES_RUN_BIN) + " --help"), run);
+  EXPECT_EQ(help_flags(std::string(AIMESC_BIN) + " submit --help"), submit);
 }
 
 TEST(RunRequestExecute, SingleCellMatchesDirectRunner) {

@@ -578,6 +578,39 @@ TEST(HttpServer, OversizedRequestGets413AtTheMessageCap) {
   server.stop();
 }
 
+TEST(HttpServer, OversizedStreamRequestGets413AtTheMessageCap) {
+  // The streaming client, like http_call, reads the early 413 even when the
+  // server refused before the upload finished.
+  net::HttpServer server;
+  auto port = server.start(0, [](const net::HttpRequest&) { return net::HttpResponse{}; });
+  ASSERT_TRUE(port.ok()) << port.error();
+  const auto ignore = [](std::string_view) { return true; };
+
+  net::HttpRequest req;
+  req.method = "GET";
+  req.target = "/";
+  req.headers["x-bloat"] = std::string((1 << 20) + 4096, 'a');
+  auto res = net::http_stream(*port, req, ignore);
+  ASSERT_TRUE(res.ok()) << res.error();
+  EXPECT_EQ(res->status, 413) << res->body;
+
+  net::HttpRequest big;
+  big.method = "POST";
+  big.target = "/";
+  big.body = std::string((1 << 20) + 4096, 'b');
+  auto res2 = net::http_stream(*port, big, ignore);
+  ASSERT_TRUE(res2.ok()) << res2.error();
+  EXPECT_EQ(res2->status, 413) << res2->body;
+
+  // Past what the lingering close drains, the server closes mid-upload and
+  // the client's send fails; the 413 is still there to read.
+  big.body = std::string(16u << 20, 'c');
+  auto res3 = net::http_stream(*port, big, ignore);
+  ASSERT_TRUE(res3.ok()) << res3.error();
+  EXPECT_EQ(res3->status, 413) << res3->body;
+  server.stop();
+}
+
 TEST(Sse, ParsesFramesAndLeavesTornTailInCarry) {
   std::string carry =
       "id: 3\nevent: progress\ndata: {\"trials_done\": 1}\n\n"

@@ -53,7 +53,6 @@ struct Args {
   std::string report_file;
   std::string trace_out;    // Chrome trace-event JSON (Perfetto-loadable)
   std::string metrics_out;  // Prometheus text; FILE.csv gets the series
-  double sample_interval_s = 30.0;
   std::string emit;      // dax | swift | shell | json
   std::string emit_out;  // "-" or path
 };
@@ -74,8 +73,6 @@ common::Expected<Args> parse_args(int argc, char** argv) {
                     "write final metric values in Prometheus text\n"
                     "format; FILE.csv gets the sampled time series",
                     "FILE");
-  cli.double_option("--sample-interval", args.sample_interval_s, 0.001, 1e6,
-                    "metrics sampling interval in virtual seconds (30)", "S");
   cli.flag("--timeline", args.timeline, "print an ASCII Gantt timeline of the run");
   cli.string_option("--report", args.report_file, "write the run report as JSON", "FILE");
   cli.string_option("--emit", args.emit, "emit the skeleton: shell | json | dax | swift",
@@ -119,7 +116,6 @@ common::Expected<Args> parse_args(int argc, char** argv) {
   // (and artifact rendering) on for the executed trial.
   const bool obs_on = !args.trace_out.empty() || !args.metrics_out.empty();
   args.req.observability.enabled = obs_on;
-  args.req.observability.sample_interval_s = args.sample_interval_s;
   args.req.observability.artifacts = obs_on;
   if (auto st = exp::validate(args.req); !st.ok()) return E::error(st.error());
   return args;

@@ -297,9 +297,7 @@ int cmd_submit(int argc, char** argv) {
   Remote remote;
   std::string idempotency_key;
   common::cli::Parser cli("aimesc submit");
-  exp::declare_request_options(cli, req, quick);
-  cli.string_option("--name", req.name, "label for the run in list/view output", "NAME");
-  cli.string_option("--user", req.user, "owner recorded with the run", "NAME");
+  exp::declare_request_options(cli, req, quick, exp::kAimescSubmit);
   cli.flag("--wait", wait, "tail the run's log live and print its result");
   cli.string_option("--idempotency-key", idempotency_key,
                     "dedup token sent as the Idempotency-Key header\n"
